@@ -107,7 +107,6 @@ from repro.core.savat import (
     measure_savat_samples,
     record_phase_seconds,
 )
-from repro.core.shm import SampleArena, resolve_shm
 from repro.core.trace_cache import (
     TraceCache,
     get_process_trace_cache,
@@ -284,11 +283,10 @@ class CampaignStats:
             "by tier.",
             labelnames=("tier",),
         )
-        # Materialize every tier up front so the Prometheus export (and
+        # Materialize both tiers up front so the Prometheus export (and
         # repro.obs.check's exact comparison) sees 0 samples even for a
         # campaign that never hit a given tier.
         self._trace_hits.labels(tier="memory")
-        self._trace_hits.labels(tier="shm")
         self._trace_hits.labels(tier="disk")
         self._trace_misses = r.counter(
             "savat_trace_cache_misses_total",
@@ -348,27 +346,6 @@ class CampaignStats:
             "savat_cell_duration_seconds",
             "Distribution of per-cell simulation wall times.",
         )
-        self._ipc_sample_bytes = r.counter(
-            "savat_ipc_sample_bytes_total",
-            "Sample payload bytes pickled across the worker boundary "
-            "(zero-copy cells travel through the shared-memory arena "
-            "instead).",
-        )
-        self._ipc_saved = r.counter(
-            "savat_ipc_bytes_saved_total",
-            "Sample and strip bytes that crossed through the "
-            "shared-memory arena instead of being pickled.",
-        )
-        self._shm_enabled = r.gauge(
-            "savat_shm_enabled",
-            "Whether the shared-memory data plane was active (1) for "
-            "this campaign.",
-        )
-        self._shm_segments = r.gauge(
-            "savat_shm_segments",
-            "Shared-memory segments the campaign's data plane used "
-            "(sample arena plus trace-cache shm entries).",
-        )
         self._sched_tail = r.gauge(
             "savat_sched_tail_seconds",
             "Pool drain tail: seconds between the last cell submission "
@@ -418,7 +395,6 @@ class CampaignStats:
         """Trace-cache traffic this campaign caused, by counter name."""
         return {
             "memory_hits": int(self._trace_hits.labels(tier="memory").get()),
-            "shm_hits": int(self._trace_hits.labels(tier="shm").get()),
             "disk_hits": int(self._trace_hits.labels(tier="disk").get()),
             "misses": int(self._trace_misses.value()),
             "stores": int(self._trace_stores.value()),
@@ -438,26 +414,6 @@ class CampaignStats:
     @wall_seconds.setter
     def wall_seconds(self, seconds: float) -> None:
         self._wall.set(float(seconds))
-
-    @property
-    def ipc_sample_bytes(self) -> int:
-        """Sample payload bytes pickled across the worker boundary."""
-        return int(self._ipc_sample_bytes.value())
-
-    @property
-    def ipc_bytes_saved(self) -> int:
-        """Sample/strip bytes that traveled via shared memory instead."""
-        return int(self._ipc_saved.value())
-
-    @property
-    def shm_enabled(self) -> bool:
-        """Whether the shared-memory data plane was active."""
-        return bool(self._shm_enabled.value())
-
-    @property
-    def shm_segments(self) -> int:
-        """Shared-memory segments the campaign's data plane used."""
-        return int(self._shm_segments.value())
 
     @property
     def sched_tail_seconds(self) -> float:
@@ -524,8 +480,6 @@ class CampaignStats:
         """
         if delta.get("memory_hits"):
             self._trace_hits.labels(tier="memory").inc(delta["memory_hits"])
-        if delta.get("shm_hits"):
-            self._trace_hits.labels(tier="shm").inc(delta["shm_hits"])
         if delta.get("disk_hits"):
             self._trace_hits.labels(tier="disk").inc(delta["disk_hits"])
         if delta.get("misses"):
@@ -534,18 +488,6 @@ class CampaignStats:
             self._trace_stores.inc(delta["stores"])
         if delta.get("quarantined"):
             self._trace_quarantined.inc(delta["quarantined"])
-
-    def record_ipc(self, sample_bytes: int = 0, saved_bytes: int = 0) -> None:
-        """Account one result's transport: pickled vs shared-memory bytes."""
-        if sample_bytes:
-            self._ipc_sample_bytes.inc(sample_bytes)
-        if saved_bytes:
-            self._ipc_saved.inc(saved_bytes)
-
-    def record_shm(self, enabled: bool, segments: int = 0) -> None:
-        """Record the data plane's state for this campaign."""
-        self._shm_enabled.set(1.0 if enabled else 0.0)
-        self._shm_segments.set(int(segments))
 
     def record_sched_tail(self, seconds: float) -> None:
         """Record the pool drain tail of this campaign's fan-out."""
@@ -599,14 +541,6 @@ class CampaignStats:
             "quarantined": self.quarantined,
             "resumed": self.resumed,
             "trace_cache": dict(self.trace_cache),
-            "ipc": {
-                "sample_bytes": self.ipc_sample_bytes,
-                "bytes_saved": self.ipc_bytes_saved,
-            },
-            "shm": {
-                "enabled": self.shm_enabled,
-                "segments": self.shm_segments,
-            },
             "scheduling": {
                 "policy": self.schedule_policy,
                 "tail_seconds": self.sched_tail_seconds,
@@ -1083,27 +1017,6 @@ def _init_worker(trace_cache_spec: dict | None = None) -> None:
     _worker_trace_cache(trace_cache_spec)
 
 
-#: The worker's attachment to the current campaign's sample arena,
-#: memoized by spec exactly like the trace cache: a long-lived pool
-#: maps each campaign's arena once per worker, not once per cell.
-_WORKER_ARENA: SampleArena | None = None
-_WORKER_ARENA_SPEC: dict | None = None
-
-
-def _worker_arena(spec: dict | None) -> SampleArena | None:
-    """The worker's mapping of the arena named by ``spec`` (memoized)."""
-    global _WORKER_ARENA, _WORKER_ARENA_SPEC
-    if spec is None:
-        return None
-    if _WORKER_ARENA is None or _WORKER_ARENA_SPEC != spec:
-        if _WORKER_ARENA is not None:
-            _WORKER_ARENA.close()
-            _WORKER_ARENA = None
-        _WORKER_ARENA = SampleArena.attach(spec)
-        _WORKER_ARENA_SPEC = dict(spec)
-    return _WORKER_ARENA
-
-
 def _cell_task(
     i: int,
     j: int,
@@ -1116,8 +1029,7 @@ def _cell_task(
     plan: FrequencyPlan,
     fault: CellFault | None,
     trace_cache_spec: dict | None,
-    arena_spec: dict | None = None,
-) -> tuple[int, int, np.ndarray | None, float, dict[str, float], dict]:
+) -> tuple[int, int, np.ndarray, float, dict[str, float], dict]:
     """Simulate one cell inside a worker process.
 
     The cell ships its campaign context (machine, config, repetitions)
@@ -1130,14 +1042,6 @@ def _cell_task(
     simulation starts; the reported elapsed time covers the simulation
     only, since the parent measures timeout budgets against its own
     clock.
-
-    With ``arena_spec`` set, the cell's samples and its phase/elapsed
-    strip entry are written into the campaign's shared-memory
-    :class:`~repro.core.shm.SampleArena` slice instead of being
-    returned — the samples element of the tuple is ``None`` and the
-    result pickle carries only scalars.  The parent reads the slice
-    back out of the arena, so the payload never crosses the process
-    boundary by value.
 
     The sixth tuple element is the cell's **trace span fragment**
     (worker pid, worker-side elapsed seconds, per-phase seconds, and
@@ -1166,16 +1070,6 @@ def _cell_task(
         fragment["trace_cache"] = TraceCache.counter_delta(
             cache.counters(), before
         )
-    arena = _worker_arena(arena_spec)
-    if arena is not None:
-        # Samples, phases, and elapsed all travel through the arena
-        # slice; the result pickle keeps only the scalars the strip
-        # cannot carry (pid, counter deltas, the arena marker).
-        arena.write_cell(i, j, samples, phases, elapsed)
-        del fragment["elapsed_s"]
-        del fragment["phase_seconds"]
-        fragment["arena"] = True
-        return i, j, None, 0.0, {}, fragment
     return i, j, samples, elapsed, phases, fragment
 
 
@@ -1294,9 +1188,9 @@ class WorkerPool:
         campaign aborted by :class:`~repro.errors.CellExecutionError`
         (or an abandoned, timed-out attempt) can leave tasks running in
         the pool's workers.  Shared state those workers write — the
-        trace cache's shm segments, its disk tier — must only be torn
-        down after they finish, so the study runner drains the pool
-        before unlinking anything.  Returns ``False`` when a timeout
+        trace cache's disk tier — must only be torn down after they
+        finish, so the study runner drains the pool before removing
+        anything.  Returns ``False`` when a timeout
         expired with tasks still running.
         """
         pending = set(self._outstanding)
@@ -1336,7 +1230,6 @@ def execute_campaign(
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | bool | None = None,
     pool: WorkerPool | None = None,
-    shm: bool | None = None,
     schedule: str = "rowmajor",
 ) -> tuple[np.ndarray, CampaignStats]:
     """Measure every ordered (A, B) cell of a campaign, possibly in parallel.
@@ -1406,13 +1299,6 @@ def execute_campaign(
         workers keep their warm trace LRUs across campaigns; the
         caller owns the pool's lifetime.  When given, it overrides
         ``workers``.
-    shm:
-        Whether pooled cells return their samples through a zero-copy
-        :class:`~repro.core.shm.SampleArena` instead of pickling them
-        (``None``: on where available unless ``SAVAT_SHM=0``; ``True``
-        still degrades to the pickle path on platforms without POSIX
-        shared memory).  Serial campaigns never need the arena.
-        Samples are bit-identical either way.
     schedule:
         Cold-cell submission order — ``"rowmajor"`` (historical) or
         ``"cost"`` (longest-expected-first, from recorded per-pair
@@ -1448,7 +1334,6 @@ def execute_campaign(
         raise ConfigurationError("cell_timeout_s must be positive")
     workers = _validate_workers(workers)
     schedule = _validate_schedule(schedule)
-    use_shm = resolve_shm(shm)
     names = [event.name for event in resolved]
 
     if trace_cache is False:
@@ -1673,19 +1558,7 @@ def execute_campaign(
                 effective_workers, max_retries, cell_timeout_s, names,
                 dispatch_fault, complete_cell, obs,
                 trace_cache=resolved_trace_cache, pool=pool,
-                use_shm=use_shm, count=count,
             )
-        trace_shm_segments = (
-            len(resolved_trace_cache.shm_segments())
-            if resolved_trace_cache is not None
-            and resolved_trace_cache.shm_prefix is not None
-            else 0
-        )
-        arena_used = use_shm and not serial and bool(pending)
-        stats.record_shm(
-            enabled=arena_used or trace_shm_segments > 0,
-            segments=trace_shm_segments + (1 if arena_used else 0),
-        )
         if cache is not None and simulated_seconds:
             cache.store_cost_history(simulated_seconds)
         status = "ok"
@@ -1812,8 +1685,6 @@ def _run_pool(
     obs: CampaignObservability,
     trace_cache: TraceCache | None = None,
     pool: WorkerPool | None = None,
-    use_shm: bool = False,
-    count: int = 0,
 ) -> None:
     """Fan the cold cells out across worker processes.
 
@@ -1825,18 +1696,6 @@ def _run_pool(
     abandoned attempts are discarded even if they eventually arrive; the
     retry recomputes the identical samples from the cell's original
     seed-schedule entry.
-
-    With ``use_shm``, first attempts write their samples and
-    phase/elapsed strip into a campaign-wide
-    :class:`~repro.core.shm.SampleArena` and return only scalars; the
-    parent copies each completed slice out on arrival.  Retried
-    attempts fall back to the pickle path so a timed-out zombie of the
-    original attempt can never write over a slot the parent still
-    reads, and the arena is unlinked in the ``finally`` below on every
-    exit — fault, timeout, and :class:`~repro.errors.CellExecutionError`
-    paths included — so no ``/dev/shm`` segment outlives the campaign
-    (POSIX keeps a zombie's mapping valid after the unlink, so even a
-    hung writer cannot crash or leak).
 
     With an external :class:`WorkerPool`, its (already running) workers
     are used as-is and the pool is left alive on exit — the caller owns
@@ -1856,8 +1715,6 @@ def _run_pool(
             initargs=(trace_cache_spec,),
         )
         submit = owned_pool.submit
-    arena = SampleArena.create(count, repetitions) if use_shm else None
-    arena_spec = arena.spec() if arena is not None else None
     queue: deque[tuple[_PendingCell, int]] = deque(
         (cell, 0) for cell in pending
     )
@@ -1894,11 +1751,6 @@ def _run_pool(
                     cell.event_a, cell.event_b,
                     cell.seed_sequence, cell.plan, fault,
                     trace_cache_spec,
-                    # Retries keep their samples out of the arena: a
-                    # timed-out zombie of attempt 0 may still write the
-                    # cell's slot, so only a slot whose single attempt-0
-                    # writer completed cleanly is ever read back.
-                    arena_spec if attempt == 0 else None,
                 )
                 outstanding[future] = (cell, time.monotonic(), attempt)
             if queue:
@@ -1937,18 +1789,7 @@ def _run_pool(
                 cell, _submitted, attempt = outstanding.pop(future)
                 error = future.exception()
                 if error is None:
-                    i, j, cell_samples, elapsed, phases, fragment = future.result()
-                    if fragment.get("arena") and arena is not None:
-                        # Zero-copy result: the pickle carried only
-                        # scalars; samples, phases, and elapsed come
-                        # out of the cell's arena slice and strip.
-                        cell_samples = arena.read_cell(i, j)
-                        phases, elapsed = arena.read_strip(i, j)
-                        fragment["phase_seconds"] = dict(phases)
-                        fragment["elapsed_s"] = elapsed
-                        stats.record_ipc(saved_bytes=arena.cell_nbytes)
-                    else:
-                        stats.record_ipc(sample_bytes=cell_samples.nbytes)
+                    _, _, cell_samples, elapsed, phases, fragment = future.result()
                     obs.cell_end(
                         cell.i, cell.j, attempt, status="ok",
                         elapsed_s=elapsed, fragment=fragment,
@@ -2009,12 +1850,6 @@ def _run_pool(
         # this campaign.
         if owned_pool is not None:
             owned_pool.shutdown(wait=clean_shutdown, cancel_futures=True)
-        if arena is not None:
-            # Unconditional, on every exit path: the arena name must
-            # never outlive the campaign.  Unlinking with writers still
-            # live is safe — POSIX keeps their mappings valid, and no
-            # slot they can still touch is ever read again.
-            arena.unlink()
 
 
 __all__ = [

@@ -52,11 +52,9 @@ from repro.core.executor import (
 )
 from repro.core.matrix import SavatMatrix
 from repro.core.savat import MeasurementConfig
-from repro.core.shm import resolve_shm
 from repro.core.trace_cache import (
     TRACE_CACHE_DIR_ENV,
     TraceCache,
-    new_shm_prefix,
     trace_cache_enabled,
 )
 from repro.errors import ConfigurationError
@@ -90,8 +88,8 @@ class StudyResult:
         labelled by machine and distance).
     trace_cache:
         Study-wide totals of the per-campaign trace-cache counters
-        (``memory_hits`` / ``shm_hits`` / ``disk_hits`` / ``misses`` /
-        ``stores`` / ``quarantined``).
+        (``memory_hits`` / ``disk_hits`` / ``misses`` / ``stores`` /
+        ``quarantined``).
     """
 
     def __init__(
@@ -145,7 +143,6 @@ def run_study(
     progress: ProgressCallback | None = None,
     output_dir: str | os.PathLike | None = None,
     observability: Sequence[CampaignObservability] | None = None,
-    shm: bool | None = None,
     schedule: str = "rowmajor",
 ) -> StudyResult:
     """Run the full ``machines x distances`` campaign grid as one study.
@@ -204,13 +201,6 @@ def run_study(
         Pre-built per-campaign observability bundles, in campaign
         order (advanced; overrides ``output_dir``'s per-campaign
         bundles).  Must have exactly one entry per campaign.
-    shm:
-        Shared-memory plane for pooled campaigns (see
-        :func:`~repro.core.campaign.run_campaign`).  In a study it
-        additionally gives the study-owned trace cache a shared-memory
-        tier, so sibling workers serve each other traces without the
-        ``.npz`` disk round-trip; the study unlinks every segment at
-        teardown.
     schedule:
         Cell submission order for every pooled campaign
         (``"rowmajor"`` or ``"cost"``); never changes samples.
@@ -250,7 +240,6 @@ def run_study(
     # bounded below the size of a full-event-set campaign, and pool
     # workers can only share traces through disk.
     temp_trace_dir: tempfile.TemporaryDirectory | None = None
-    owned_trace_cache: TraceCache | None = None
     if trace_cache is False or not trace_cache_enabled():
         shared_trace_cache: TraceCache | None = None
     elif isinstance(trace_cache, TraceCache):
@@ -262,15 +251,7 @@ def run_study(
         if directory is None:
             temp_trace_dir = tempfile.TemporaryDirectory(prefix="savat_traces_")
             directory = temp_trace_dir.name
-        # The study-owned cache gets a shared-memory tier when the
-        # plane is on: sibling workers then serve each other traces
-        # without the .npz round-trip.  The study owns the prefix and
-        # sweeps it in the ``finally`` below.
-        shm_prefix = new_shm_prefix() if resolve_shm(shm) else None
-        shared_trace_cache = TraceCache(
-            directory=directory, shm_prefix=shm_prefix
-        )
-        owned_trace_cache = shared_trace_cache
+        shared_trace_cache = TraceCache(directory=directory)
 
     registry = MetricsRegistry()
     campaigns_total = registry.counter(
@@ -294,7 +275,6 @@ def run_study(
         labelnames=("tier",),
     )
     study_trace_hits.labels(tier="memory")
-    study_trace_hits.labels(tier="shm")
     study_trace_hits.labels(tier="disk")
     study_trace_misses = registry.counter(
         "savat_study_trace_cache_misses_total",
@@ -303,7 +283,6 @@ def run_study(
 
     totals = {
         "memory_hits": 0,
-        "shm_hits": 0,
         "disk_hits": 0,
         "misses": 0,
         "stores": 0,
@@ -350,7 +329,6 @@ def run_study(
                     shared_trace_cache if shared_trace_cache is not None else False
                 ),
                 pool=pool,
-                shm=shm,
                 schedule=schedule,
             )
             matrices.append(matrix)
@@ -372,10 +350,6 @@ def run_study(
                 study_trace_hits.labels(tier="memory").inc(
                     campaign_trace["memory_hits"]
                 )
-            if campaign_trace.get("shm_hits"):
-                study_trace_hits.labels(tier="shm").inc(
-                    campaign_trace["shm_hits"]
-                )
             if campaign_trace.get("disk_hits"):
                 study_trace_hits.labels(tier="disk").inc(
                     campaign_trace["disk_hits"]
@@ -384,14 +358,12 @@ def run_study(
                 study_trace_misses.inc(campaign_trace["misses"])
     finally:
         # Teardown order matters when an exception unwinds mid-study:
-        # outstanding worker futures must drain *before* any shared
-        # state (trace segments, the temp trace directory) goes away,
-        # or in-flight workers race the unlink and die writing to it.
+        # outstanding worker futures must drain *before* the temp trace
+        # directory goes away, or in-flight workers race the cleanup
+        # and die writing to it.
         if pool is not None:
             pool.drain()
             pool.shutdown()
-        if owned_trace_cache is not None:
-            owned_trace_cache.unlink_shm()
         if temp_trace_dir is not None:
             temp_trace_dir.cleanup()
         study_wall.set(time.perf_counter() - started)

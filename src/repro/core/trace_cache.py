@@ -14,14 +14,9 @@ re-derives the identical trace once per distance, and a re-seeded or
 
 * an **in-process LRU** (bounded; a paper-sized trace is ~3 MB) serves
   repeat requests in the same process at dictionary-lookup cost;
-* an optional **shared-memory tier** (POSIX segments under a
-  study-owned name prefix, see :mod:`repro.core.shm`) serves a trace
-  produced by one pool worker to its siblings without any ``.npz``
-  round-trip — no serialization, no filesystem;
 * an optional **on-disk tier** (``.npz`` payloads) shares traces across
   processes and survives the process — campaign workers and the study
-  runner's persistent pool all read and write the same directory, and
-  it persists across studies where the shared-memory tier does not.
+  runner's persistent pool all read and write the same directory.
 
 Disk entries follow the executor's cache discipline via
 :mod:`repro.core.diskcache`: writes are atomic (temp file + fsync +
@@ -41,9 +36,7 @@ Environment knobs:
 
 * ``SAVAT_TRACE_CACHE=0`` disables the cache process-wide (it is on by
   default, memory tier only);
-* ``SAVAT_TRACE_CACHE_DIR=DIR`` adds the on-disk tier at ``DIR``;
-* ``SAVAT_SHM=0`` disables the shared-memory tier (and the campaign
-  sample arena) process-wide.
+* ``SAVAT_TRACE_CACHE_DIR=DIR`` adds the on-disk tier at ``DIR``.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.codegen.frequency import FrequencyPlan
-from repro.core import shm as shm_plane
 from repro.core.diskcache import atomic_write, quarantine_entry
 from repro.isa.events import InstructionEvent
 from repro.machines.calibrated import CalibratedMachine
@@ -156,47 +148,39 @@ def trace_cache_key(
 
 
 class TraceCache:
-    """Multi-tier (memory LRU + optional shm + optional disk) trace store.
+    """Two-tier (memory LRU + optional disk) store of kernel traces.
 
     Parameters
     ----------
     directory:
-        On-disk tier directory (``None``: no disk tier).  Multiple
+        On-disk tier directory (``None``: memory tier only).  Multiple
         processes may share it — writes are atomic and corrupt entries
         are quarantined, exactly like the campaign result cache.
     memory_entries:
         Bound on the in-process LRU (``0`` disables the memory tier).
-    shm_prefix:
-        Segment-name prefix of the shared-memory tier (``None``: no shm
-        tier).  Every entry lives in one POSIX segment named
-        ``<prefix><key>``; pool workers sharing the prefix serve each
-        other traces with no serialization or disk traffic.  The
-        process that *owns* the prefix (typically the study runner)
-        must call :meth:`unlink_shm` after its pool has drained; see
-        :func:`new_shm_prefix`.
 
     Counter semantics mirror :class:`~repro.core.executor.ResultCache`:
     every :meth:`load` increments exactly one of ``memory_hits``,
-    ``shm_hits``, ``disk_hits``, or ``misses``; a quarantined disk
-    entry is a miss that also increments ``quarantine_count``, and
-    never a hit.  :meth:`counters` snapshots all counters (the
-    campaign executor ships per-cell snapshots from workers back to
-    the parent as span fragments) and :meth:`reset_counters` zeroes
-    them per execution.
+    ``disk_hits``, or ``misses``; a quarantined disk entry is a miss
+    that also increments ``quarantine_count``, and never a hit.
+    :meth:`counters` snapshots all counters (the campaign executor
+    ships per-cell snapshots from workers back to the parent as span
+    fragments) and :meth:`reset_counters` zeroes them per execution.
     """
+
+    #: Always zero and never in :meth:`counters`: kept only because the
+    #: invocation benchmark (``perfbench/tracer.py``) reads it per lookup.
+    shm_hits = 0
 
     def __init__(
         self,
         directory: str | os.PathLike | None = None,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        shm_prefix: str | None = None,
     ) -> None:
         self.directory = Path(directory).expanduser() if directory is not None else None
         self.memory_entries = int(memory_entries)
-        self.shm_prefix = shm_prefix if shm_prefix else None
         self._memory: OrderedDict[str, tuple[ActivityTrace, int, float]] = OrderedDict()
         self.memory_hits = 0
-        self.shm_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
@@ -228,7 +212,6 @@ class TraceCache:
         return {
             "directory": str(self.directory) if self.directory is not None else None,
             "memory_entries": self.memory_entries,
-            "shm_prefix": self.shm_prefix,
         }
 
     @classmethod
@@ -237,7 +220,6 @@ class TraceCache:
         return cls(
             directory=spec.get("directory"),
             memory_entries=spec.get("memory_entries", DEFAULT_MEMORY_ENTRIES),
-            shm_prefix=spec.get("shm_prefix"),
         )
 
     # ------------------------------------------------------------------
@@ -247,7 +229,6 @@ class TraceCache:
         """Snapshot of all counters (JSON-ready)."""
         return {
             "memory_hits": self.memory_hits,
-            "shm_hits": self.shm_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "stores": self.stores,
@@ -257,7 +238,6 @@ class TraceCache:
     def reset_counters(self) -> None:
         """Zero all counters (cached entries are kept)."""
         self.memory_hits = 0
-        self.shm_hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.stores = 0
@@ -285,17 +265,10 @@ class TraceCache:
             self._memory.move_to_end(key)
             self.memory_hits += 1
             return entry
-        if self.shm_prefix is not None:
-            entry = self._load_shm(key)
-            if entry is not None:
-                self._remember(key, entry)
-                self.shm_hits += 1
-                return entry
         if self.directory is not None:
             entry = self._load_disk(key)
             if entry is not None:
                 self._remember(key, entry)
-                self._store_shm(key, *entry)
                 self.disk_hits += 1
                 return entry
         self.misses += 1
@@ -330,114 +303,6 @@ class TraceCache:
             return None
         return trace, inst_loop_count, predicted_hz
 
-    # ------------------------------------------------------------------
-    # Shared-memory tier
-    # ------------------------------------------------------------------
-    #: Float64 header preceding the flattened trace data in a segment:
-    #: (n_components, n_cycles, clock_hz, inst_loop_count, predicted_hz).
-    _SHM_HEADER = 5
-
-    def segment_name(self, key: str) -> str:
-        """Segment name of one cached trace (shm tier only)."""
-        if self.shm_prefix is None:
-            raise ValueError("trace cache has no shared-memory tier")
-        return f"{self.shm_prefix}{key}"
-
-    def _load_shm(self, key: str) -> tuple[ActivityTrace, int, float] | None:
-        segment = shm_plane.attach_segment(self.segment_name(key))
-        if segment is None:
-            return None
-        try:
-            entry = self._read_segment(segment)
-        finally:
-            segment.close()
-        if entry is None:
-            # Unlike a disk entry there is no artifact worth keeping for
-            # a post mortem: unlink the bad segment and fall through to
-            # the disk tier, which re-validates (and quarantines) itself.
-            shm_plane.unlink_segment(self.segment_name(key))
-        return entry
-
-    def _read_segment(self, segment) -> tuple[ActivityTrace, int, float] | None:
-        words = segment.size // 8
-        if words < self._SHM_HEADER:
-            return None
-        flat = np.ndarray((words,), dtype=np.float64, buffer=segment.buf)
-        try:
-            header = np.array(flat[: self._SHM_HEADER], dtype=np.float64)
-            if not np.all(np.isfinite(header)):
-                return None
-            rows, columns = int(header[0]), int(header[1])
-            clock_hz = float(header[2])
-            inst_loop_count = int(header[3])
-            predicted_hz = float(header[4])
-            if (
-                rows < 1
-                or columns < 1
-                or words < self._SHM_HEADER + rows * columns
-                or clock_hz <= 0
-                or inst_loop_count < 1
-            ):
-                return None
-            # Copy out: the entry outlives the mapping (memory LRU).
-            payload = np.array(
-                flat[self._SHM_HEADER : self._SHM_HEADER + rows * columns],
-                dtype=np.float64,
-            ).reshape(rows, columns)
-            if not np.all(np.isfinite(payload)):
-                return None
-            trace = ActivityTrace(data=payload, clock_hz=clock_hz)
-        except Exception:  # noqa: BLE001 — a bad segment is dropped, not served
-            return None
-        finally:
-            # Release the buffer view before SharedMemory.close().
-            del flat
-        return trace, inst_loop_count, predicted_hz
-
-    def _store_shm(
-        self,
-        key: str,
-        trace: ActivityTrace,
-        inst_loop_count: int,
-        predicted_frequency_hz: float,
-    ) -> None:
-        """Publish one entry into the shm tier (first writer wins)."""
-        if self.shm_prefix is None:
-            return
-        data = np.asarray(trace.data, dtype=np.float64)
-        words = self._SHM_HEADER + data.size
-        segment = shm_plane.create_segment(self.segment_name(key), words * 8)
-        if segment is None:
-            return
-        flat = np.ndarray((words,), dtype=np.float64, buffer=segment.buf)
-        # Data first, header last: a reader racing an in-progress write
-        # sees a zero header (rows == 0) and treats the entry as absent.
-        flat[self._SHM_HEADER :] = data.ravel()
-        flat[2] = float(trace.clock_hz)
-        flat[3] = float(int(inst_loop_count))
-        flat[4] = float(predicted_frequency_hz)
-        flat[1] = float(data.shape[1])
-        flat[0] = float(data.shape[0])
-        del flat
-        segment.close()
-
-    def shm_segments(self) -> list[str]:
-        """Live shm-tier segment names under this cache's prefix."""
-        if self.shm_prefix is None:
-            return []
-        return shm_plane.list_segments(self.shm_prefix)
-
-    def unlink_shm(self) -> int:
-        """Unlink every shm-tier segment under this cache's prefix.
-
-        Owner teardown only, and only after the worker pool using the
-        prefix has drained — a still-running worker could otherwise
-        publish a fresh segment after the sweep and leak it.
-        """
-        if self.shm_prefix is None:
-            return 0
-        return shm_plane.unlink_segments(self.shm_prefix)
-
     def quarantine(self, key: str, path: Path) -> Path | None:
         """Move a bad disk entry into the quarantine directory."""
         target = quarantine_entry(self.quarantine_dir(), key, path)
@@ -453,10 +318,9 @@ class TraceCache:
         inst_loop_count: int,
         predicted_frequency_hz: float,
     ) -> None:
-        """Persist one trace into every tier (atomically on disk)."""
+        """Persist one trace into both tiers (atomically on disk)."""
         entry = (trace, int(inst_loop_count), float(predicted_frequency_hz))
         self._remember(key, entry)
-        self._store_shm(key, *entry)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             atomic_write(
@@ -539,21 +403,6 @@ def produce_cell_trace(
 
 
 # ----------------------------------------------------------------------
-# Shared-memory tier naming
-# ----------------------------------------------------------------------
-def new_shm_prefix() -> str | None:
-    """A fresh shm-tier segment prefix, or ``None`` when unavailable.
-
-    The caller that receives the prefix *owns* it: it must call
-    :meth:`TraceCache.unlink_shm` (after draining any pool sharing the
-    cache) so no ``savat_tc_*`` segment outlives the run.
-    """
-    if not shm_plane.shm_available():
-        return None
-    return f"{shm_plane.SEGMENT_PREFIX}tc_{shm_plane.new_token()}_"
-
-
-# ----------------------------------------------------------------------
 # Process-level default cache
 # ----------------------------------------------------------------------
 _PROCESS_CACHE: TraceCache | None = None
@@ -595,7 +444,6 @@ __all__ = [
     "TraceCache",
     "clear_process_trace_cache",
     "get_process_trace_cache",
-    "new_shm_prefix",
     "produce_cell_trace",
     "trace_cache_enabled",
     "trace_cache_key",

@@ -61,23 +61,10 @@ EXECUTION_GAUGES = {
 #: execution["trace_cache"] entries and the (metric, labels) behind each.
 TRACE_CACHE_COUNTERS = {
     "memory_hits": ("savat_trace_cache_hits_total", (("tier", "memory"),)),
-    "shm_hits": ("savat_trace_cache_hits_total", (("tier", "shm"),)),
     "disk_hits": ("savat_trace_cache_hits_total", (("tier", "disk"),)),
     "misses": ("savat_trace_cache_misses_total", ()),
     "stores": ("savat_trace_cache_stores_total", ()),
     "quarantined": ("savat_trace_cache_quarantined_total", ()),
-}
-
-#: execution["ipc"] entries and the registry counter behind each.
-IPC_COUNTERS = {
-    "sample_bytes": "savat_ipc_sample_bytes_total",
-    "bytes_saved": "savat_ipc_bytes_saved_total",
-}
-
-#: execution["shm"] entries backed by registry gauges.
-SHM_GAUGES = {
-    "enabled": "savat_shm_enabled",
-    "segments": "savat_shm_segments",
 }
 
 
@@ -147,26 +134,12 @@ def check_against_execution(samples: dict, execution: dict) -> list[str]:
     trace_cache = execution.get("trace_cache")
     if trace_cache is not None:
         for key, (metric, labels) in TRACE_CACHE_COUNTERS.items():
-            if key not in trace_cache:
-                # Counters added after the matrix was written (e.g.
-                # shm_hits) are skipped, not failed.
-                continue
             expect(
                 metric,
                 frozenset(labels),
                 trace_cache[key],
                 f"trace_cache[{key}]",
             )
-    # Shared-memory plane sections (absent in matrices from releases
-    # that predate it; skipped rather than failed there).
-    ipc = execution.get("ipc")
-    if ipc is not None:
-        for key, metric in IPC_COUNTERS.items():
-            expect(metric, frozenset(), ipc[key], f"ipc[{key}]")
-    shm = execution.get("shm")
-    if shm is not None:
-        for key, metric in SHM_GAUGES.items():
-            expect(metric, frozenset(), shm[key], f"shm[{key}]")
     scheduling = execution.get("scheduling")
     if scheduling is not None and "tail_seconds" in scheduling:
         expect(
@@ -263,8 +236,6 @@ if __name__ == "__main__":
 __all__ = [
     "EXECUTION_COUNTERS",
     "EXECUTION_GAUGES",
-    "IPC_COUNTERS",
-    "SHM_GAUGES",
     "TRACE_CACHE_COUNTERS",
     "check_against_execution",
     "main",

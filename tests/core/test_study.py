@@ -8,6 +8,8 @@ distances of a machine must be served entirely from the shared
 kernel-trace cache.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,9 @@ class TestStudySamples:
             )
         second = pooled.matrices[1].metadata["execution"]["trace_cache"]
         assert second["misses"] == 0
+        # Pool workers share traces through their warm LRUs and the
+        # study's disk tier alone.
+        assert second["memory_hits"] + second["disk_hits"] == len(EVENTS) ** 2
 
     def test_matrix_for_unknown_campaign_raises(self, serial_study):
         with pytest.raises(ConfigurationError):
@@ -137,6 +142,21 @@ class TestStudyResultCache:
         assert list((tmp_path / "traces").glob("trace_*.npz"))
         assert not (tmp_path / "cache" / "traces").exists()
 
+    def test_failing_pooled_study_removes_its_temp_trace_dir(
+        self, tmp_path, monkeypatch
+    ):
+        # The second grid entry fails to load after the first campaign
+        # ran on the pool: the pool drains, then the study-owned
+        # temporary trace directory is removed all the same.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ConfigurationError):
+            _study(
+                machines=["core2duo", "no-such-machine"],
+                distances_m=[0.10],
+                workers=2,
+            )
+        assert list(tmp_path.glob("savat_traces_*")) == []
+
     def test_prebuilt_trace_cache_is_used(self):
         cache = TraceCache()
         _study(trace_cache=cache)
@@ -146,7 +166,6 @@ class TestStudyResultCache:
         study = _study(trace_cache=False)
         assert study.trace_cache == {
             "memory_hits": 0,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": 0,
             "stores": 0,

@@ -180,7 +180,6 @@ class TestTraceCacheTiers:
         )
         assert cache.counters() == {
             "memory_hits": 0,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": 1,
             "stores": 1,
@@ -396,7 +395,6 @@ class TestCampaignBitIdentity:
         cells = len(EVENTS) ** 2
         assert cold.metadata["execution"]["trace_cache"] == {
             "memory_hits": 0,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": cells,
             "stores": cells,
@@ -404,7 +402,6 @@ class TestCampaignBitIdentity:
         }
         assert warm.metadata["execution"]["trace_cache"] == {
             "memory_hits": cells,
-            "shm_hits": 0,
             "disk_hits": 0,
             "misses": 0,
             "stores": 0,

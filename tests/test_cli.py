@@ -192,25 +192,16 @@ class TestParser:
         args = build_parser().parse_args(["groups", "--workers", "2"])
         assert args.workers == 2
 
-    def test_shm_defaults_to_auto(self):
+    def test_schedule_defaults_to_rowmajor(self):
         args = build_parser().parse_args(["campaign"])
-        assert args.shm is None
         assert args.schedule == "rowmajor"
 
-    def test_shm_and_schedule_flags(self):
-        args = build_parser().parse_args(
-            ["campaign", "--shm", "--schedule", "cost"]
-        )
-        assert args.shm is True
+    def test_schedule_flag(self):
+        args = build_parser().parse_args(["campaign", "--schedule", "cost"])
         assert args.schedule == "cost"
-        args = build_parser().parse_args(["campaign", "--no-shm"])
-        assert args.shm is False
 
-    def test_study_accepts_shm_and_schedule_flags(self):
-        args = build_parser().parse_args(
-            ["study", "--shm", "--schedule", "cost"]
-        )
-        assert args.shm is True
+    def test_study_accepts_schedule_flag(self):
+        args = build_parser().parse_args(["study", "--schedule", "cost"])
         assert args.schedule == "cost"
 
     def test_bad_schedule_fails_parsing(self, capsys):
