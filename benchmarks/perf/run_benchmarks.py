@@ -20,8 +20,8 @@ to end, on the fast and the scalar reference implementations:
   shared cache must keep the whole study under 2x the single-campaign
   cost, because the second distance reuses every trace;
 * **pool_campaign** — a pooled mixed-cost ``method="full"`` campaign
-  in row-major and cost-aware order versus a serial reference: samples
-  must be bit-identical across all three.  Worker-count speedups are
+  versus a serial reference: samples must be bit-identical across
+  both.  Worker-count speedups are
   recorded but not gated — they depend on the container's core count
   (recorded in the results), and this container may be single-core.
 
@@ -287,25 +287,23 @@ def bench_study(machine, repeats: int) -> dict:
 
 #: Event subset for the pooled-campaign benchmark — a mixed-cost grid
 #: (cheap ALU rows next to off-chip memory rows) small enough to run
-#: three variants per invocation at ``method="full"`` repetition cost.
+#: both variants per invocation at ``method="full"`` repetition cost.
 POOL_EVENTS = ("MUL", "ADD", "LDM")
 POOL_REPETITIONS = 2
 POOL_WORKERS = 4
 
 
 def bench_pool_campaign(machine, repeats: int) -> dict:
-    """Pooled mixed-cost campaign: row-major and cost schedules vs serial.
+    """Pooled mixed-cost campaign versus a serial reference.
 
-    Runs the same cold ``method="full"`` campaign three ways — serial,
-    pooled in row-major order, and pooled with cost-aware scheduling —
-    and gates on the property that is independent of how many cores the
-    container has: samples bit-identical across all three.  The pooled
-    row-major time is the stage's latency (``fast_s``, gated against the
-    baseline like every other stage).  Pool-vs-serial and
-    cost-vs-rowmajor speedups are *recorded*, not gated: on a
-    single-core container (``cores`` in the results) a process pool
-    cannot beat serial wall-clock and submission order cannot change
-    it, so those ratios only carry signal on multi-core hosts.
+    Runs the same cold ``method="full"`` campaign serially and over a
+    process pool, and gates on the property that is independent of how
+    many cores the container has: samples bit-identical across both.
+    The pooled time is the stage's latency (``fast_s``, gated against
+    the baseline like every other stage).  The pool-vs-serial speedup is
+    *recorded*, not gated: on a single-core container (``cores`` in the
+    results) a process pool cannot beat serial wall-clock, so the ratio
+    only carries signal on multi-core hosts.
     """
     import os
 
@@ -313,7 +311,7 @@ def bench_pool_campaign(machine, repeats: int) -> dict:
 
     config = MeasurementConfig(method="full")
 
-    def campaign(workers: int, schedule: str):
+    def campaign(workers: int):
         clear_cpi_cache()
         started = time.perf_counter()
         matrix = run_campaign(
@@ -324,45 +322,35 @@ def bench_pool_campaign(machine, repeats: int) -> dict:
             seed=2014,
             workers=workers,
             trace_cache=False,
-            schedule=schedule,
         )
         return time.perf_counter() - started, matrix
 
     # One warm-up pass so forked workers inherit warm module caches and
     # the first timed variant is not penalized for import costs.
-    campaign(0, "rowmajor")
+    campaign(0)
 
-    def best(workers: int, schedule: str):
+    def best(workers: int):
         best_s, best_matrix = float("inf"), None
         for _ in range(repeats):
-            elapsed, matrix = campaign(workers, schedule)
+            elapsed, matrix = campaign(workers)
             if elapsed < best_s:
                 best_s, best_matrix = elapsed, matrix
         return best_s, best_matrix
 
-    serial_s, serial = best(0, "rowmajor")
-    pool_s, pooled = best(POOL_WORKERS, "rowmajor")
-    cost_s, cost_matrix = best(POOL_WORKERS, "cost")
-
-    def tail_s(matrix) -> float:
-        return matrix.metadata["execution"]["scheduling"]["tail_seconds"]
-
-    identical = all(
-        np.array_equal(serial.samples_zj, matrix.samples_zj)
-        for matrix in (pooled, cost_matrix)
-    )
+    serial_s, serial = best(0)
+    pool_s, pooled = best(POOL_WORKERS)
+    identical = np.array_equal(serial.samples_zj, pooled.samples_zj)
     return {
         "mixed_full": {
             "fast_s": pool_s,
             "serial_s": serial_s,
-            "cost_pool_s": cost_s,
             "cores": os.cpu_count(),
             "workers": POOL_WORKERS,
             "samples_identical": bool(identical),
             "pool_speedup_vs_serial": serial_s / pool_s,
-            "cost_speedup_vs_rowmajor": pool_s / cost_s,
-            "rowmajor_tail_s": tail_s(pooled),
-            "cost_tail_s": tail_s(cost_matrix),
+            "rowmajor_tail_s": pooled.metadata["execution"]["scheduling"][
+                "tail_seconds"
+            ],
         }
     }
 
@@ -521,15 +509,13 @@ def run(args) -> int:
         f"second distance all hits: {numbers['second_distance_all_hits']}"
     )
 
-    print("pooled campaign, row-major and cost schedules (mixed-cost full method)...")
+    print("pooled campaign vs serial (mixed-cost full method)...")
     results["pool_campaign"] = bench_pool_campaign(machine, args.repeats)
     numbers = results["pool_campaign"]["mixed_full"]
     print(
-        f"  row-major pool {numbers['fast_s']:.3f}s vs cost pool "
-        f"{numbers['cost_pool_s']:.3f}s vs serial "
+        f"  pool {numbers['fast_s']:.3f}s vs serial "
         f"{numbers['serial_s']:.3f}s ({numbers['cores']} core(s)); "
-        f"tail {numbers['cost_tail_s']:.3f}s (cost) vs "
-        f"{numbers['rowmajor_tail_s']:.3f}s (row-major); "
+        f"tail {numbers['rowmajor_tail_s']:.3f}s; "
         f"samples identical: {numbers['samples_identical']}"
     )
 

@@ -120,26 +120,23 @@ def _machine_list(text: str) -> list[str]:
 
 
 def _workers(text: str) -> int:
-    """Parse a ``--workers`` value into a validated non-negative int.
+    """Parse a ``--workers`` value through the executor's own check.
 
-    Mirrors the :func:`repro.core.executor._validate_workers` check so
-    a bad count fails argument parsing with a one-line message instead
-    of surfacing later from the executor (or, historically, as a pool
-    traceback).
+    :func:`repro.core.executor._validate_workers` owns the range check
+    and its message; this only turns its error into a parse error, so a
+    bad count fails argument parsing instead of surfacing later.
     """
+    from repro.core.executor import _validate_workers
+    from repro.errors import ConfigurationError
+
     try:
-        value = int(text)
+        value: int | str = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a non-negative integer (0 means serial); "
-            f"got {text!r}"
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a non-negative integer (0 means serial); "
-            f"got {value}"
-        )
-    return value
+        value = text
+    try:
+        return _validate_workers(value)
+    except ConfigurationError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
@@ -150,14 +147,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for the campaign fan-out (0 or 1: serial; "
         "results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("rowmajor", "cost"),
-        default="rowmajor",
-        help="cell submission order for pooled runs: 'rowmajor' or "
-        "'cost' (most expensive cells first, from recorded timings); "
-        "never changes the samples (default: rowmajor)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -262,7 +251,6 @@ def _campaign_execution_kwargs(args: argparse.Namespace) -> dict:
             FaultPlan.from_spec(args.inject_faults) if args.inject_faults else None
         ),
         "observability": observability,
-        "schedule": args.schedule,
     }
 
 
@@ -430,7 +418,6 @@ def _command_study(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         cell_timeout_s=args.cell_timeout,
         output_dir=args.output_dir,
-        schedule=args.schedule,
     )
     if args.format == "json":
         print(
@@ -635,13 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the shared pool serving every campaign "
         "(0 or 1: serial; results are bit-identical either way)",
-    )
-    study.add_argument(
-        "--schedule",
-        choices=("rowmajor", "cost"),
-        default="rowmajor",
-        help="cell submission order for every pooled campaign "
-        "(default: rowmajor)",
     )
     study.add_argument(
         "--cache-dir",

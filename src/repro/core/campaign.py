@@ -58,7 +58,6 @@ def run_campaign(
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | bool | None = None,
     pool: WorkerPool | None = None,
-    schedule: str = "rowmajor",
 ) -> SavatMatrix:
     """Measure the full pairwise SAVAT matrix.
 
@@ -67,17 +66,17 @@ def run_campaign(
     of the same campaign produce bit-identical samples, and an optional
     on-disk cache lets repeated campaigns skip simulation entirely.
 
-    **Timeout semantics** are identical in serial and pool modes: with
-    ``cell_timeout_s`` set, an attempt that overruns the budget counts
-    one timeout, its result is discarded, and the cell is retried from
-    its original seed-schedule entry (one retry per overrun) until the
+    **Timeout semantics** are one rule in serial and pool modes: an
+    attempt whose completion time minus its submission time exceeds
+    ``cell_timeout_s`` is a timeout, its result is discarded, and the
+    cell is retried from its original seed-schedule entry until the
     ``max_retries`` budget is exhausted, at which point the campaign
-    fails.  The only difference is *when* the overrun is detected:
-    worker processes are preempted mid-attempt, while a serial
-    in-process attempt cannot be interrupted and is judged after it
-    returns.  A cell that overruns and then succeeds therefore produces
-    the same ``timeouts``/``retries`` counters, the same journal
-    contents, and bit-identical samples in both modes.
+    fails.  A pooled attempt still running past its deadline is
+    abandoned as well; a serial in-process attempt always runs to
+    completion and is judged by the same rule.  A cell that overruns
+    and then succeeds therefore produces the same
+    ``timeouts``/``retries`` counters, the same journal contents, and
+    bit-identical samples in both modes.
 
     Parameters
     ----------
@@ -138,12 +137,6 @@ def run_campaign(
         Persistent :class:`~repro.core.executor.WorkerPool` to run the
         campaign over (a study shares one pool across its campaigns so
         worker trace LRUs stay warm); overrides ``workers``.
-    schedule:
-        Cell submission order for pooled runs: ``"rowmajor"`` (default)
-        or ``"cost"``, which submits the most expensive cells first
-        using recorded per-cell timings (falling back to a static
-        cost prior).  Scheduling never changes samples — each cell owns
-        a fixed seed-schedule entry.
 
     Returns
     -------
@@ -182,7 +175,6 @@ def run_campaign(
         observability=observability,
         trace_cache=trace_cache,
         pool=pool,
-        schedule=schedule,
     )
 
     return SavatMatrix(

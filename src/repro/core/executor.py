@@ -22,15 +22,14 @@ so the executor layers four recovery mechanisms over the fan-out:
   ``max_retries`` attempts and the cell is re-dispatched with its
   original seed; only exhausting the budget (or a non-retryable
   configuration error) aborts the campaign.
-* **Per-cell wall-clock timeouts** — with ``cell_timeout_s`` set, an
-  attempt that exceeds its budget counts as a timeout, its result is
-  discarded, and the cell is retried from its original seed (or the
-  campaign fails once the budget is exhausted).  Worker processes are
-  preempted — the hung attempt is abandoned and its slot written off
-  until the worker comes back — while a serial in-process attempt
-  cannot be interrupted and is only judged after it returns; the
-  counters, journal contents, and final samples are identical in both
-  modes.
+* **Per-cell wall-clock timeouts** — with ``cell_timeout_s`` set, one
+  rule holds in serial and pooled runs: an attempt whose completion
+  time minus its submission time exceeds the budget is a timeout, its
+  result is discarded, and the cell is retried from its original seed
+  (or the campaign fails once the budget is exhausted).  A pooled
+  attempt still running past its deadline is abandoned and its worker
+  slot written off until the worker comes back; a serial in-process
+  attempt always runs to completion and is judged by the same rule.
 * **Cache quarantine** — a corrupted, truncated, or wrong-shaped cache
   entry is moved to ``<cache_dir>/quarantine/`` (never silently
   deleted) and the cell is recomputed.
@@ -47,10 +46,12 @@ how the recovery paths are tested end to end.
 The engine also maintains an on-disk result cache.  Each cell's
 repetition samples are stored as an ``.npz`` file under a directory
 named by a content hash of everything that determines the cell's value
-(machine name and distance, the full :class:`~repro.core.savat.MeasurementConfig`,
-the ordered event list, the repetition count, the campaign seed, and
-the cell index).  Re-running a campaign the benchmarks have already
-measured loads every cell from disk and performs zero simulations;
+(the calibrated machine's spec, distance, noise environment, coupling
+weights, and self-noise, the full
+:class:`~repro.core.savat.MeasurementConfig`, the ordered event list,
+the repetition count, the campaign seed, and the cell index).
+Re-running a campaign the benchmarks have already measured loads every
+cell from disk and performs zero simulations;
 hit/miss counters, per-cell timings, and the fault-tolerance counters
 are reported through :class:`CampaignStats` and the returned matrix
 metadata.
@@ -89,7 +90,7 @@ import os
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,12 +104,12 @@ from repro.core.faults import CORRUPT_PAYLOAD, CellFault, FaultPlan
 from repro.core.savat import (
     MeasurementConfig,
     _plan_pair,
-    estimate_cell_cost,
     measure_savat_samples,
     record_phase_seconds,
 )
 from repro.core.trace_cache import (
     TraceCache,
+    _spec_payload,
     get_process_trace_cache,
     produce_cell_trace,
 )
@@ -121,7 +122,7 @@ from repro.uarch.fastpath import fast_path_enabled
 
 #: Bump whenever the cache layout or the seeding discipline changes;
 #: old entries then miss instead of replaying stale numbers.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Bump whenever the journal line format changes; a resume against a
 #: journal written by another version is rejected, never reinterpreted.
@@ -129,13 +130,6 @@ JOURNAL_VERSION = 1
 
 #: Default per-cell retry budget for transient worker faults.
 DEFAULT_MAX_RETRIES = 2
-
-#: Cell-submission orders the executor supports.  ``"rowmajor"`` is the
-#: historical (i, j) order; ``"cost"`` submits the cells expected to
-#: run longest first, shrinking the pool's tail latency.  Samples are
-#: bit-identical across schedules: every cell replays its own
-#: seed-schedule entry regardless of submission order.
-SCHEDULES = ("rowmajor", "cost")
 
 ProgressCallback = Callable[[str, str, int, int], None]
 
@@ -158,15 +152,6 @@ def _validate_workers(workers: int) -> int:
             f"got {workers}"
         )
     return int(workers)
-
-
-def _validate_schedule(schedule: str) -> str:
-    """Validate a ``schedule`` name against :data:`SCHEDULES`."""
-    if schedule not in SCHEDULES:
-        raise ConfigurationError(
-            f"unknown schedule {schedule!r}; options: {SCHEDULES}"
-        )
-    return schedule
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +336,6 @@ class CampaignStats:
             "Pool drain tail: seconds between the last cell submission "
             "and the last completion.",
         )
-        #: Submission order used for this campaign's cold cells.
-        self.schedule_policy = "rowmajor"
 
     # -- readable counter/gauge views ----------------------------------
     @property
@@ -541,10 +524,7 @@ class CampaignStats:
             "quarantined": self.quarantined,
             "resumed": self.resumed,
             "trace_cache": dict(self.trace_cache),
-            "scheduling": {
-                "policy": self.schedule_policy,
-                "tail_seconds": self.sched_tail_seconds,
-            },
+            "scheduling": {"tail_seconds": self.sched_tail_seconds},
             "faults_injected": dict(self.faults_injected),
             "cell_seconds": dict(self.cell_seconds),
             "cell_phase_seconds": {
@@ -563,9 +543,29 @@ def _config_payload(config: MeasurementConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _machine_payload(machine: CalibratedMachine) -> dict:
+    """Every part of a calibrated machine that can change a sample.
+
+    The spec content (as the trace cache hashes it), the distance, the
+    noise environment, and the calibration's coupling weights and
+    per-event self-noise — not just the catalog name, so a louder
+    environment or a refitted calibration never replays stale samples.
+    """
+    calibration = machine.calibration
+    return {
+        "spec": _spec_payload(machine),
+        "distance_m": float(machine.distance_m),
+        "environment": dataclasses.asdict(machine.environment),
+        "coupling": calibration.coupling.weights.tolist(),
+        "self_noise_j": {
+            name: float(value)
+            for name, value in calibration.self_noise_j.items()
+        },
+    }
+
+
 def campaign_cache_key(
-    machine_name: str,
-    distance_m: float,
+    machine: CalibratedMachine,
     config: MeasurementConfig,
     event_names: Sequence[str],
     repetitions: int,
@@ -573,16 +573,16 @@ def campaign_cache_key(
 ) -> str:
     """Content hash identifying one campaign's results on disk.
 
-    Any change to the machine, distance, measurement configuration,
-    ordered event list, repetition count, or seed changes the key, so
-    stale entries can never be mistaken for current ones.  The same key
-    identifies the campaign's journal, so a resume against results from
-    a different campaign is rejected instead of replayed.
+    Any change to the calibrated machine (see :func:`_machine_payload`),
+    measurement configuration, ordered event list, repetition count, or
+    seed changes the key, so stale entries can never be mistaken for
+    current ones.  The same key identifies the campaign's journal, so a
+    resume against results from a different campaign is rejected
+    instead of replayed.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
-        "machine": machine_name,
-        "distance_m": float(distance_m),
+        "machine": _machine_payload(machine),
         "config": _config_payload(config),
         "events": list(event_names),
         "repetitions": int(repetitions),
@@ -716,67 +716,6 @@ class ResultCache:
             ),
         )
 
-    # -- recorded per-pair costs (cost-aware scheduling) ----------------
-    def costs_path(self) -> Path:
-        """Per-pair seconds recorded across campaigns (advisory data).
-
-        Deliberately keyed by pair at the cache root, not under one
-        campaign key: a campaign at a new distance or seed shares no
-        result cells with its predecessors but runs the same kernels,
-        so their recorded costs are exactly what its scheduler needs.
-        """
-        return self.cache_dir / "costs.json"
-
-    def load_cost_history(self) -> dict[str, float]:
-        """Recorded per-pair simulation seconds (empty when absent).
-
-        Corrupt or implausible entries are dropped rather than trusted:
-        the history only orders cell submission, so the worst a bad
-        file could do — and is not allowed to — is crash a campaign.
-        """
-        try:
-            payload = json.loads(self.costs_path().read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(payload, dict):
-            return {}
-        history: dict[str, float] = {}
-        for pair, seconds in payload.items():
-            try:
-                value = float(seconds)
-            except (TypeError, ValueError):
-                continue
-            if np.isfinite(value) and value > 0:
-                history[str(pair)] = value
-        return history
-
-    def store_cost_history(self, cell_seconds: dict[str, float]) -> None:
-        """Merge freshly measured per-pair seconds into the history.
-
-        Repeat observations are averaged into the previous estimate, so
-        the history tracks the machine it runs on without being whipped
-        around by one noisy campaign.
-        """
-        history = self.load_cost_history()
-        for pair, seconds in cell_seconds.items():
-            value = float(seconds)
-            if not np.isfinite(value) or value <= 0:
-                continue
-            previous = history.get(pair)
-            history[pair] = (
-                value if previous is None else 0.5 * (previous + value)
-            )
-        if not history:
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self.cache_dir,
-            self.costs_path(),
-            lambda handle: handle.write(
-                json.dumps(history, indent=2, sort_keys=True).encode("utf-8")
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # Campaign journal (checkpoint / resume)
@@ -857,8 +796,9 @@ class CampaignJournal:
                 raise JournalError(
                     f"journal {self.path} belongs to a different campaign "
                     f"(key {recorded.get('campaign_key')!r}, expected "
-                    f"{header['campaign_key']!r}); machine, distance, config, "
-                    "events, repetitions, and seed must all match to resume"
+                    f"{header['campaign_key']!r}); machine (spec, distance, "
+                    "environment, calibration), config, events, repetitions, "
+                    "and seed must all match to resume"
                 )
             for line in handle:
                 try:
@@ -1017,60 +957,96 @@ def _init_worker(trace_cache_spec: dict | None = None) -> None:
     _worker_trace_cache(trace_cache_spec)
 
 
-def _cell_task(
-    i: int,
-    j: int,
+@dataclass(frozen=True)
+class _PendingCell:
+    """One cold cell awaiting simulation."""
+
+    i: int
+    j: int
+    event_a: InstructionEvent
+    event_b: InstructionEvent
+    seed_sequence: np.random.SeedSequence
+    plan: FrequencyPlan
+
+
+def _cell_attempt(
     machine: CalibratedMachine,
     config: MeasurementConfig,
     repetitions: int,
-    event_a: InstructionEvent,
-    event_b: InstructionEvent,
-    seed_sequence: np.random.SeedSequence,
-    plan: FrequencyPlan,
+    cell: _PendingCell,
+    fault: CellFault | None,
+    trace_cache: TraceCache | None,
+) -> tuple[np.ndarray, dict]:
+    """One attempt at one cell, in whichever process runs it.
+
+    ``fault`` (set only by an injected
+    :class:`~repro.core.faults.FaultPlan`) raises or hangs before the
+    simulation starts; the reported elapsed time covers the simulation
+    only, since timeout budgets are judged by the attempt loop's clock.
+
+    Returns the samples and the cell's **trace span fragment** (process
+    pid, elapsed seconds, per-phase seconds, and the cell's trace-cache
+    counter delta).  Workers never write to the trace file themselves —
+    the parent merges the fragment into the cell's ``span_end`` record,
+    keeping the trace single-writer under the process pool.
+    """
+    if fault is not None:
+        fault.apply()
+    started = time.perf_counter()
+    phases: dict[str, float] = {}
+    before = trace_cache.counters() if trace_cache is not None else None
+    samples = simulate_cell(
+        machine, config, cell.event_a, cell.event_b, repetitions,
+        cell.seed_sequence, plan=cell.plan, phase_seconds=phases,
+        trace_cache=trace_cache,
+    )
+    fragment = {
+        "worker_pid": os.getpid(),
+        "elapsed_s": time.perf_counter() - started,
+        "phase_seconds": phases,
+    }
+    if trace_cache is not None:
+        fragment["trace_cache"] = TraceCache.counter_delta(
+            trace_cache.counters(), before
+        )
+    return samples, fragment
+
+
+def _cell_task(
+    machine: CalibratedMachine,
+    config: MeasurementConfig,
+    repetitions: int,
+    cell: _PendingCell,
     fault: CellFault | None,
     trace_cache_spec: dict | None,
-) -> tuple[int, int, np.ndarray, float, dict[str, float], dict]:
-    """Simulate one cell inside a worker process.
+) -> tuple[np.ndarray, dict]:
+    """Worker-process entry point: :func:`_cell_attempt` over the worker's cache.
 
     The cell ships its campaign context (machine, config, repetitions)
     and its pre-computed frequency plan from the parent — the pickles
     are small, and carrying them per task (rather than in a pool
     initializer) is what lets one persistent :class:`WorkerPool` serve
     campaigns with different machines and configs back to back.
-    ``fault`` (set only by an injected
-    :class:`~repro.core.faults.FaultPlan`) raises or hangs before the
-    simulation starts; the reported elapsed time covers the simulation
-    only, since the parent measures timeout budgets against its own
-    clock.
-
-    The sixth tuple element is the cell's **trace span fragment**
-    (worker pid, worker-side elapsed seconds, per-phase seconds, and
-    the cell's trace-cache counter delta): workers never write to the
-    trace file themselves — the parent merges the fragment into the
-    cell's ``span_end`` record, keeping the trace single-writer under
-    the process pool.
     """
-    cache = _worker_trace_cache(trace_cache_spec)
-    if fault is not None:
-        fault.apply()
-    started = time.perf_counter()
-    phases: dict[str, float] = {}
-    before = cache.counters() if cache is not None else None
-    samples = simulate_cell(
-        machine, config, event_a, event_b, repetitions, seed_sequence,
-        plan=plan, phase_seconds=phases, trace_cache=cache,
+    return _cell_attempt(
+        machine, config, repetitions, cell, fault,
+        _worker_trace_cache(trace_cache_spec),
     )
-    elapsed = time.perf_counter() - started
-    fragment = {
-        "worker_pid": os.getpid(),
-        "elapsed_s": elapsed,
-        "phase_seconds": dict(phases),
-    }
-    if cache is not None:
-        fragment["trace_cache"] = TraceCache.counter_delta(
-            cache.counters(), before
-        )
-    return i, j, samples, elapsed, phases, fragment
+
+
+def _run_in_process(fn, /, *args) -> Future:
+    """Serial stand-in for :meth:`WorkerPool.submit`: run ``fn`` now.
+
+    Returns an already-completed future carrying the result or the
+    exception, so the attempt loop treats serial and pooled attempts
+    alike and never has to wait on a serial one.
+    """
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as error:  # noqa: BLE001 — classified by the loop
+        future.set_exception(error)
+    return future
 
 
 def _is_retryable(error: BaseException) -> bool:
@@ -1085,70 +1061,194 @@ def _is_retryable(error: BaseException) -> bool:
     return isinstance(error, Exception)
 
 
-@dataclass(frozen=True)
-class _PendingCell:
-    """One cold cell awaiting simulation."""
+@dataclass
+class _Attempt:
+    """One submitted attempt and its submission/completion clock."""
 
-    i: int
-    j: int
-    event_a: InstructionEvent
-    event_b: InstructionEvent
-    seed_sequence: np.random.SeedSequence
-    plan: FrequencyPlan
+    cell: _PendingCell
+    number: int
+    submitted: float
+    finished: float | None = None
 
-    @property
-    def index(self) -> tuple[int, int]:
-        return (self.i, self.j)
+    def mark_finished(self, _future: Future) -> None:
+        # A done-callback: stamps the attempt's own completion time, not
+        # the moment the loop gets round to looking at it.
+        self.finished = time.monotonic()
+
+    def elapsed(self) -> float:
+        """Completion (or, while unstamped, current) time minus submission."""
+        # A pool future reports done() just before its callbacks run, so
+        # the stamp can still be missing for an instant.
+        finished = self.finished if self.finished is not None else time.monotonic()
+        return finished - self.submitted
 
 
-def _order_by_cost(
+def _run_cells(
     pending: Sequence[_PendingCell],
+    submit: Callable[[_PendingCell, CellFault | None], Future],
+    slots: int,
     names: Sequence[str],
-    repetitions: int,
-    method: str,
-    history: dict[str, float],
-) -> list[_PendingCell]:
-    """Order cold cells longest-expected-first (stable within ties).
+    stats: CampaignStats,
+    obs: CampaignObservability,
+    fault_plan: FaultPlan | None,
+    max_retries: int,
+    cell_timeout_s: float | None,
+    complete_cell: Callable[[_PendingCell, np.ndarray, dict], None],
+) -> bool:
+    """Run every cold cell to completion: the one attempt loop.
 
-    Expected cost per cell is its recorded per-pair seconds from the
-    result cache's cross-campaign history when available, else the
-    static prior of :func:`repro.core.savat.estimate_cell_cost` — the
-    prior is rescaled into seconds through the pairs present in both,
-    so recorded and estimated cells sort on one axis.  Longest-first
-    submission keeps the expensive cells off the pool's tail: the final
-    stragglers are the cheapest cells instead of the dearest ones.
+    ``submit`` starts one attempt and returns its future — on a
+    :class:`WorkerPool`, or in-process through :func:`_run_in_process`,
+    whose futures are complete on return.  The loop keeps at most
+    ``slots`` attempts outstanding, in row-major order, so every
+    submitted attempt is actually running and its budget can be measured
+    from submission; it only blocks in ``wait`` while some attempt is
+    still running, which a serial run never has.
 
-    Ordering is pure scheduling: every cell's samples replay its own
-    seed-schedule entry, so any order produces bit-identical results.
+    A failed attempt consumes one of the cell's ``max_retries`` retries
+    and is re-queued with its original seed-schedule entry.  Timeouts
+    follow one rule in both modes: a finished attempt whose completion
+    minus submission exceeds ``cell_timeout_s`` is a timeout and its
+    result is discarded; a pooled attempt still running past its
+    deadline is abandoned, its worker slot written off until it returns.
+    Exhausting a cell's budget raises :class:`CellExecutionError`.
+
+    Returns whether no abandoned attempt is still running, i.e. whether
+    the pool can be shut down without waiting on a hung worker.
     """
-    priors = {
-        cell.index: estimate_cell_cost(cell.plan, repetitions, method)
-        for cell in pending
-    }
-    ratios = [
-        history[f"{names[cell.i]}/{names[cell.j]}"] / priors[cell.index]
-        for cell in pending
-        if f"{names[cell.i]}/{names[cell.j]}" in history
-        and priors[cell.index] > 0
-    ]
-    scale = sum(ratios) / len(ratios) if ratios else 1.0
-    expected = {
-        cell.index: history.get(
-            f"{names[cell.i]}/{names[cell.j]}",
-            priors[cell.index] * scale,
+    queue: deque[tuple[_PendingCell, int]] = deque((cell, 0) for cell in pending)
+    running: dict[Future, _Attempt] = {}
+    abandoned: set[Future] = set()
+    drain_started: float | None = None
+
+    def pair(cell: _PendingCell) -> str:
+        return f"{names[cell.i]}/{names[cell.j]}"
+
+    def retry_or_fail(
+        attempt: _Attempt, reason: str, message: str,
+        error: BaseException | None = None,
+    ) -> None:
+        cell, number = attempt.cell, attempt.number
+        retryable = error is None or _is_retryable(error)
+        if retryable and number < max_retries:
+            stats.record_retry()
+            obs.cell_retry(cell.i, cell.j, number + 1, reason=reason)
+            queue.append((cell, number + 1))
+            return
+        raise CellExecutionError(
+            f"cell {pair(cell)} {message} (completed cells are journaled; "
+            "rerun with resume to continue)",
+            i=cell.i, j=cell.j, pair=pair(cell), attempts=number + 1,
+        ) from error
+
+    def time_out(attempt: _Attempt, elapsed: float) -> None:
+        cell, number = attempt.cell, attempt.number
+        stats.record_timeout()
+        obs.cell_timeout(cell.i, cell.j, number, cell_timeout_s)
+        obs.cell_end(cell.i, cell.j, number, status="timeout", elapsed_s=elapsed)
+        retry_or_fail(
+            attempt, "timeout",
+            f"exceeded the {cell_timeout_s:g} s budget on all {number + 1} "
+            "attempt(s)",
         )
-        for cell in pending
-    }
-    # sorted() is stable, so equal-cost cells keep row-major order.
-    return sorted(pending, key=lambda cell: -expected[cell.index])
+
+    while queue or running:
+        # Reclaim slots whose abandoned (hung) attempts finished.
+        for future in [f for f in abandoned if f.done()]:
+            abandoned.discard(future)
+            slots += 1
+        while queue and len(running) < slots:
+            cell, number = queue.popleft()
+            fault = None
+            if fault_plan is not None:
+                fault = fault_plan.worker_fault(cell.i, cell.j, number)
+            if fault is not None:
+                stats.record_fault(fault.kind)
+                obs.fault_injected(attempt=number, **fault.trace_fields())
+            obs.cell_start(cell.i, cell.j, number, pair(cell))
+            attempt = _Attempt(cell, number, time.monotonic())
+            future = submit(cell, fault)
+            future.add_done_callback(attempt.mark_finished)
+            running[future] = attempt
+        if queue:
+            # A retry was queued after the drain began: the fan-out is
+            # submitting again, so the tail clock restarts.
+            drain_started = None
+        elif drain_started is None:
+            # Every cell is submitted; the fan-out is now draining.
+            drain_started = time.monotonic()
+        if not running:
+            # Cells remain but every worker slot is hung.
+            cell, number = queue[0]
+            raise CellExecutionError(
+                f"cell {pair(cell)} cannot run: all worker slot(s) are lost "
+                f"to hung cells and {len(queue)} cell(s) remain (completed "
+                "cells are journaled; rerun with resume to continue)",
+                i=cell.i, j=cell.j, pair=pair(cell), attempts=number,
+            )
+        if not all(future.done() for future in running):
+            wait_timeout = None
+            if cell_timeout_s is not None:
+                next_deadline = min(
+                    attempt.submitted + cell_timeout_s
+                    for attempt in running.values()
+                )
+                wait_timeout = max(0.0, next_deadline - time.monotonic())
+            wait(set(running), timeout=wait_timeout, return_when=FIRST_COMPLETED)
+        completed = [future for future in running if future.done()]
+        # Process successes before failures so every finished cell
+        # reaches the journal even when a failure aborts the run.
+        for future in sorted(completed, key=lambda f: f.exception() is not None):
+            attempt = running.pop(future)
+            cell, error = attempt.cell, future.exception()
+            elapsed = attempt.elapsed()
+            late = cell_timeout_s is not None and elapsed > cell_timeout_s
+            # Over budget is a timeout whatever the attempt returned,
+            # unless it failed in a way no retry could fix.
+            if error is not None and not (late and _is_retryable(error)):
+                obs.cell_end(
+                    cell.i, cell.j, attempt.number, status="error",
+                    elapsed_s=elapsed, error=str(error),
+                )
+                retry_or_fail(
+                    attempt, "error",
+                    f"failed on all {attempt.number + 1} attempt(s): {error}",
+                    error,
+                )
+            elif late:
+                # Discard the result; the retry replays the cell's
+                # original seed, so the campaign stays bit-identical.
+                time_out(attempt, elapsed)
+            else:
+                cell_samples, fragment = future.result()
+                obs.cell_end(
+                    cell.i, cell.j, attempt.number, status="ok",
+                    elapsed_s=fragment["elapsed_s"], fragment=fragment,
+                )
+                complete_cell(cell, cell_samples, fragment)
+        if cell_timeout_s is not None:
+            now = time.monotonic()
+            for future, attempt in list(running.items()):
+                if future.done() or now - attempt.submitted < cell_timeout_s:
+                    continue
+                del running[future]
+                if not future.cancel():
+                    # Already running in a worker: write the slot off
+                    # until the (possibly hung) attempt returns.
+                    abandoned.add(future)
+                    slots -= 1
+                time_out(attempt, now - attempt.submitted)
+    if drain_started is not None:
+        stats.record_sched_tail(time.monotonic() - drain_started)
+    return not abandoned
 
 
 class WorkerPool:
     """A persistent worker pool that outlives individual campaigns.
 
-    :func:`execute_campaign` normally creates and destroys its own
-    process pool, which also destroys every worker's warm in-process
-    trace LRU.  A ``WorkerPool`` inverts that ownership: the caller
+    :func:`execute_campaign` normally creates and shuts down a private
+    ``WorkerPool``, which also destroys every worker's warm in-process
+    trace LRU.  Passing one in inverts that ownership: the caller
     (typically :func:`repro.core.study.run_study`) builds the pool
     once, passes it to each campaign via ``execute_campaign(pool=...)``,
     and the same worker processes — with their
@@ -1230,7 +1330,6 @@ def execute_campaign(
     observability: CampaignObservability | None = None,
     trace_cache: TraceCache | bool | None = None,
     pool: WorkerPool | None = None,
-    schedule: str = "rowmajor",
 ) -> tuple[np.ndarray, CampaignStats]:
     """Measure every ordered (A, B) cell of a campaign, possibly in parallel.
 
@@ -1260,13 +1359,15 @@ def execute_campaign(
         its original seed-schedule entry, so retries never change the
         campaign's samples.
     cell_timeout_s:
-        Wall-clock budget per cell attempt.  An overrunning attempt
-        counts as a timeout, its result is discarded, and the cell is
-        retried from its original seed (consuming the retry budget) or
-        the campaign fails.  Worker processes are preempted — the hung
-        attempt is abandoned and its slot written off; a serial
-        in-process attempt is only judged after it returns.  Counters,
-        journal contents, and samples are identical in both modes.
+        Wall-clock budget per cell attempt, one rule in both modes: a
+        finished attempt whose completion time minus its submission
+        time exceeds it is a timeout, its result is discarded, and the
+        cell is retried from its original seed (consuming the retry
+        budget) or the campaign fails.  A pooled attempt still running
+        past its deadline is abandoned and its worker slot written off;
+        a serial in-process attempt always runs to completion.
+        Counters, journal contents, and samples are identical in both
+        modes.
     journal:
         Path of the campaign journal to stream completed cells to, or
         ``True`` to place ``journal.jsonl`` inside the cache's campaign
@@ -1299,13 +1400,6 @@ def execute_campaign(
         workers keep their warm trace LRUs across campaigns; the
         caller owns the pool's lifetime.  When given, it overrides
         ``workers``.
-    schedule:
-        Cold-cell submission order — ``"rowmajor"`` (historical) or
-        ``"cost"`` (longest-expected-first, from recorded per-pair
-        seconds when a ``cache`` has them, else the static prior of
-        :func:`repro.core.savat.estimate_cell_cost`).  Samples are
-        bit-identical across schedules because every cell replays its
-        own seed-schedule entry.
 
     Returns
     -------
@@ -1333,7 +1427,6 @@ def execute_campaign(
     if cell_timeout_s is not None and cell_timeout_s <= 0:
         raise ConfigurationError("cell_timeout_s must be positive")
     workers = _validate_workers(workers)
-    schedule = _validate_schedule(schedule)
     names = [event.name for event in resolved]
 
     if trace_cache is False:
@@ -1348,7 +1441,6 @@ def execute_campaign(
     )
     obs = observability if observability is not None else CampaignObservability()
     stats = CampaignStats(workers=effective_workers, registry=obs.metrics)
-    stats.schedule_policy = schedule
     if cache is not None:
         cache.begin_execution()
     samples = np.zeros((count, count, repetitions))
@@ -1374,9 +1466,7 @@ def execute_campaign(
 
     # The key identifies the campaign both on disk (cache layout) and in
     # the journal header, so it is computed even for cache-less runs.
-    key = campaign_cache_key(
-        machine.name, machine.distance_m, config, names, repetitions, seed
-    )
+    key = campaign_cache_key(machine, config, names, repetitions, seed)
     if cache is not None:
         cache.write_manifest(
             key,
@@ -1506,61 +1596,56 @@ def execute_campaign(
                         )
                     )
 
-        simulated_seconds: dict[str, float] = {}
-
         def complete_cell(
-            cell: _PendingCell,
-            cell_samples: np.ndarray,
-            elapsed: float,
-            phases: dict[str, float],
-            fragment: dict | None = None,
+            cell: _PendingCell, cell_samples: np.ndarray, fragment: dict
         ) -> None:
-            worker_pid = fragment.get("worker_pid") if fragment else None
-            stats.record_simulated(worker_pid)
-            simulated_seconds[f"{names[cell.i]}/{names[cell.j]}"] = elapsed
-            trace_delta = (fragment or {}).get("trace_cache")
+            stats.record_simulated(fragment["worker_pid"])
+            trace_delta = fragment.get("trace_cache")
             if trace_delta:
                 stats.record_trace_cache(trace_delta)
                 obs.trace_cache(cell.i, cell.j, trace_delta)
             if cache is not None:
                 cache.store_cell(key, cell.i, cell.j, cell_samples)
+            elapsed, phases = fragment["elapsed_s"], fragment["phase_seconds"]
             checkpoint(cell.i, cell.j, cell_samples, elapsed, phases)
             finish(cell.i, cell.j, cell_samples, elapsed, phases)
 
-        def dispatch_fault(cell: _PendingCell, attempt: int) -> CellFault | None:
-            if fault_plan is None:
-                return None
-            fault = fault_plan.worker_fault(cell.i, cell.j, attempt)
-            if fault is not None:
-                stats.record_fault(fault.kind)
-                obs.fault_injected(attempt=attempt, **fault.trace_fields())
-            return fault
-
-        if schedule == "cost" and len(pending) > 1:
-            history = (
-                cache.load_cost_history() if cache is not None else {}
-            )
-            pending = _order_by_cost(
-                pending, names, repetitions, config.method, history
-            )
-
         serial = pool is None and (effective_workers <= 1 or len(pending) <= 1)
-        if serial:
-            _run_serial(
-                pending, machine, config, repetitions, stats,
-                max_retries, cell_timeout_s, names,
-                dispatch_fault, complete_cell, obs,
-                trace_cache=resolved_trace_cache,
+        runner = None if serial else pool or WorkerPool(
+            min(effective_workers, len(pending)), resolved_trace_cache
+        )
+        spec = (
+            resolved_trace_cache.spec()
+            if resolved_trace_cache is not None
+            else None
+        )
+
+        def submit(cell: _PendingCell, fault: CellFault | None) -> Future:
+            if runner is None:
+                # In-process attempts use the caller's own trace cache.
+                return _run_in_process(
+                    _cell_attempt, machine, config, repetitions, cell, fault,
+                    resolved_trace_cache,
+                )
+            return runner.submit(
+                _cell_task, machine, config, repetitions, cell, fault, spec
             )
-        elif pending:
-            _run_pool(
-                pending, machine, config, repetitions, stats,
-                effective_workers, max_retries, cell_timeout_s, names,
-                dispatch_fault, complete_cell, obs,
-                trace_cache=resolved_trace_cache, pool=pool,
+
+        clean = False
+        try:
+            clean = _run_cells(
+                pending, submit, runner.workers if runner else 1, names,
+                stats, obs, fault_plan, max_retries, cell_timeout_s,
+                complete_cell,
             )
-        if cache is not None and simulated_seconds:
-            cache.store_cost_history(simulated_seconds)
+        finally:
+            # Never block campaign teardown on a hung worker: if any
+            # attempt was abandoned (or the run failed), drop the private
+            # pool without waiting for it.  An external WorkerPool is the
+            # caller's to shut down — its workers (and their warm trace
+            # LRUs) survive this campaign.
+            if runner is not None and runner is not pool:
+                runner.shutdown(wait=clean, cancel_futures=True)
         status = "ok"
     finally:
         if campaign_journal is not None:
@@ -1571,292 +1656,10 @@ def execute_campaign(
     return samples, stats
 
 
-def _run_serial(
-    pending: Sequence[_PendingCell],
-    machine: CalibratedMachine,
-    config: MeasurementConfig,
-    repetitions: int,
-    stats: CampaignStats,
-    max_retries: int,
-    cell_timeout_s: float | None,
-    names: Sequence[str],
-    dispatch_fault: Callable[[_PendingCell, int], CellFault | None],
-    complete_cell: Callable,
-    obs: CampaignObservability,
-    trace_cache: TraceCache | None = None,
-) -> None:
-    """Simulate the cold cells in-process, with the retry loop.
-
-    Timeout semantics match the pool path: an in-process attempt cannot
-    be preempted, so an injected hang runs until it returns, but an
-    attempt that comes back over budget counts as a timeout, its result
-    is **discarded**, and the cell is retried from its original seed —
-    or, with the retry budget exhausted, the campaign fails with the
-    same "exceeded the budget on all attempts" error the pool raises.
-    Counters, journal contents, and samples are identical across modes.
-    """
-    for cell in pending:
-        pair = f"{names[cell.i]}/{names[cell.j]}"
-        attempt = 0
-        while True:
-            fault = dispatch_fault(cell, attempt)
-            obs.cell_start(cell.i, cell.j, attempt, pair)
-            cell_started = time.perf_counter()
-            phases: dict[str, float] = {}
-            before = trace_cache.counters() if trace_cache is not None else None
-            try:
-                if fault is not None:
-                    fault.apply()
-                cell_samples = simulate_cell(
-                    machine, config, cell.event_a, cell.event_b,
-                    repetitions, cell.seed_sequence,
-                    plan=cell.plan, phase_seconds=phases,
-                    trace_cache=trace_cache,
-                )
-            except Exception as error:  # noqa: BLE001 — classified below
-                obs.cell_end(
-                    cell.i, cell.j, attempt, status="error",
-                    elapsed_s=time.perf_counter() - cell_started,
-                    error=str(error),
-                )
-                if _is_retryable(error) and attempt < max_retries:
-                    stats.record_retry()
-                    obs.cell_retry(cell.i, cell.j, attempt + 1, reason="error")
-                    attempt += 1
-                    continue
-                raise CellExecutionError(
-                    f"cell {pair} failed on all {attempt + 1} attempt(s): "
-                    f"{error} (completed cells are journaled; rerun with "
-                    "resume to continue)",
-                    i=cell.i, j=cell.j, pair=pair, attempts=attempt + 1,
-                ) from error
-            elapsed = time.perf_counter() - cell_started
-            if cell_timeout_s is not None and elapsed > cell_timeout_s:
-                # Over budget: discard the result and retry, exactly as
-                # the pool path abandons a hung attempt.  The retry
-                # replays the cell's original seed, so a campaign that
-                # overruns and then succeeds stays bit-identical.
-                stats.record_timeout()
-                obs.cell_timeout(cell.i, cell.j, attempt, cell_timeout_s)
-                obs.cell_end(
-                    cell.i, cell.j, attempt, status="timeout",
-                    elapsed_s=elapsed,
-                )
-                if attempt < max_retries:
-                    stats.record_retry()
-                    obs.cell_retry(cell.i, cell.j, attempt + 1, reason="timeout")
-                    attempt += 1
-                    continue
-                raise CellExecutionError(
-                    f"cell {pair} exceeded the {cell_timeout_s:g} s budget "
-                    f"on all {attempt + 1} attempt(s) (completed cells are "
-                    "journaled; rerun with resume to continue)",
-                    i=cell.i, j=cell.j, pair=pair, attempts=attempt + 1,
-                )
-            fragment = {
-                "worker_pid": os.getpid(),
-                "elapsed_s": elapsed,
-                "phase_seconds": dict(phases),
-            }
-            if trace_cache is not None:
-                fragment["trace_cache"] = TraceCache.counter_delta(
-                    trace_cache.counters(), before
-                )
-            obs.cell_end(
-                cell.i, cell.j, attempt, status="ok",
-                elapsed_s=elapsed, fragment=fragment,
-            )
-            complete_cell(cell, cell_samples, elapsed, phases, fragment)
-            break
-
-
-def _run_pool(
-    pending: Sequence[_PendingCell],
-    machine: CalibratedMachine,
-    config: MeasurementConfig,
-    repetitions: int,
-    stats: CampaignStats,
-    effective_workers: int,
-    max_retries: int,
-    cell_timeout_s: float | None,
-    names: Sequence[str],
-    dispatch_fault: Callable[[_PendingCell, int], CellFault | None],
-    complete_cell: Callable,
-    obs: CampaignObservability,
-    trace_cache: TraceCache | None = None,
-    pool: WorkerPool | None = None,
-) -> None:
-    """Fan the cold cells out across worker processes.
-
-    Scheduling keeps at most one outstanding task per worker slot, so
-    every submitted cell is actually running and its wall-clock budget
-    can be measured from submission.  A cell that exceeds the budget is
-    abandoned — its worker slot is written off until the worker comes
-    back — and the cell is retried on a fresh slot.  Results from
-    abandoned attempts are discarded even if they eventually arrive; the
-    retry recomputes the identical samples from the cell's original
-    seed-schedule entry.
-
-    With an external :class:`WorkerPool`, its (already running) workers
-    are used as-is and the pool is left alive on exit — the caller owns
-    its lifetime, which is what keeps worker trace LRUs warm between
-    the campaigns of a study.
-    """
-    trace_cache_spec = trace_cache.spec() if trace_cache is not None else None
-    if pool is not None:
-        pool_workers = pool.workers
-        submit = pool.submit
-        owned_pool: ProcessPoolExecutor | None = None
-    else:
-        pool_workers = min(effective_workers, len(pending))
-        owned_pool = ProcessPoolExecutor(
-            max_workers=pool_workers,
-            initializer=_init_worker,
-            initargs=(trace_cache_spec,),
-        )
-        submit = owned_pool.submit
-    queue: deque[tuple[_PendingCell, int]] = deque(
-        (cell, 0) for cell in pending
-    )
-    outstanding: dict = {}  # future -> (cell, submitted_monotonic, attempt)
-    abandoned: set = set()
-    slots = pool_workers
-    clean_shutdown = False
-    drain_started: float | None = None
-
-    def fail(cell: _PendingCell, attempts: int, message: str) -> CellExecutionError:
-        pair = f"{names[cell.i]}/{names[cell.j]}"
-        return CellExecutionError(
-            f"cell {pair} {message} (completed cells are journaled; rerun "
-            "with resume to continue)",
-            i=cell.i, j=cell.j, pair=pair, attempts=attempts,
-        )
-
-    try:
-        while queue or outstanding:
-            # Reclaim slots whose abandoned (hung) attempts finished.
-            for future in [f for f in abandoned if f.done()]:
-                abandoned.discard(future)
-                slots += 1
-            while queue and len(outstanding) < slots:
-                cell, attempt = queue.popleft()
-                fault = dispatch_fault(cell, attempt)
-                obs.cell_start(
-                    cell.i, cell.j, attempt,
-                    f"{names[cell.i]}/{names[cell.j]}",
-                )
-                future = submit(
-                    _cell_task,
-                    cell.i, cell.j, machine, config, repetitions,
-                    cell.event_a, cell.event_b,
-                    cell.seed_sequence, cell.plan, fault,
-                    trace_cache_spec,
-                )
-                outstanding[future] = (cell, time.monotonic(), attempt)
-            if queue:
-                # A retry was queued after the drain began: the fan-out
-                # is submitting again, so the tail clock restarts.
-                drain_started = None
-            elif drain_started is None:
-                # Every cell is submitted; the fan-out is now draining
-                # stragglers.  Cost-aware scheduling exists to shrink
-                # this tail.
-                drain_started = time.monotonic()
-            if not outstanding:
-                # Cells remain but every worker slot is hung.
-                cell, attempt = queue[0]
-                raise fail(
-                    cell,
-                    attempt,
-                    f"cannot run: all {pool_workers} worker slot(s) are "
-                    f"lost to hung cells and {len(queue)} cell(s) remain",
-                )
-            wait_timeout = None
-            if cell_timeout_s is not None:
-                now = time.monotonic()
-                next_deadline = min(
-                    submitted + cell_timeout_s
-                    for _, submitted, _ in outstanding.values()
-                )
-                wait_timeout = max(0.0, next_deadline - now)
-            completed, _ = wait(
-                set(outstanding), timeout=wait_timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            # Process successes before failures so every finished cell
-            # reaches the journal even when a failure aborts the run.
-            for future in sorted(completed, key=lambda f: f.exception() is not None):
-                cell, _submitted, attempt = outstanding.pop(future)
-                error = future.exception()
-                if error is None:
-                    _, _, cell_samples, elapsed, phases, fragment = future.result()
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="ok",
-                        elapsed_s=elapsed, fragment=fragment,
-                    )
-                    complete_cell(cell, cell_samples, elapsed, phases, fragment)
-                elif _is_retryable(error) and attempt < max_retries:
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="error",
-                        error=str(error),
-                    )
-                    stats.record_retry()
-                    obs.cell_retry(cell.i, cell.j, attempt + 1, reason="error")
-                    queue.append((cell, attempt + 1))
-                else:
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="error",
-                        error=str(error),
-                    )
-                    raise fail(
-                        cell, attempt + 1,
-                        f"failed on all {attempt + 1} attempt(s): {error}",
-                    ) from error
-            if cell_timeout_s is not None:
-                now = time.monotonic()
-                for future, (cell, submitted, attempt) in list(outstanding.items()):
-                    if now - submitted < cell_timeout_s or future.done():
-                        continue
-                    del outstanding[future]
-                    stats.record_timeout()
-                    obs.cell_timeout(cell.i, cell.j, attempt, cell_timeout_s)
-                    obs.cell_end(
-                        cell.i, cell.j, attempt, status="timeout",
-                        elapsed_s=now - submitted,
-                    )
-                    if not future.cancel():
-                        # Already running in a worker: write the slot off
-                        # until the (possibly hung) attempt returns.
-                        abandoned.add(future)
-                        slots -= 1
-                    if attempt < max_retries:
-                        stats.record_retry()
-                        obs.cell_retry(cell.i, cell.j, attempt + 1, reason="timeout")
-                        queue.append((cell, attempt + 1))
-                    else:
-                        raise fail(
-                            cell, attempt + 1,
-                            f"exceeded the {cell_timeout_s:g} s budget on "
-                            f"all {attempt + 1} attempt(s)",
-                        )
-        clean_shutdown = not abandoned
-        if drain_started is not None:
-            stats.record_sched_tail(time.monotonic() - drain_started)
-    finally:
-        # Never block campaign teardown on a hung worker: if any attempt
-        # was abandoned (or the run failed), drop the pool without
-        # waiting for it.  An external WorkerPool is the caller's to
-        # shut down — its workers (and their warm trace LRUs) survive
-        # this campaign.
-        if owned_pool is not None:
-            owned_pool.shutdown(wait=clean_shutdown, cancel_futures=True)
-
-
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_MAX_RETRIES",
     "JOURNAL_VERSION",
-    "SCHEDULES",
     "CampaignJournal",
     "CampaignStats",
     "ResultCache",

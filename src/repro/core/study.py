@@ -143,7 +143,6 @@ def run_study(
     progress: ProgressCallback | None = None,
     output_dir: str | os.PathLike | None = None,
     observability: Sequence[CampaignObservability] | None = None,
-    schedule: str = "rowmajor",
 ) -> StudyResult:
     """Run the full ``machines x distances`` campaign grid as one study.
 
@@ -201,9 +200,6 @@ def run_study(
         Pre-built per-campaign observability bundles, in campaign
         order (advanced; overrides ``output_dir``'s per-campaign
         bundles).  Must have exactly one entry per campaign.
-    schedule:
-        Cell submission order for every pooled campaign
-        (``"rowmajor"`` or ``"cost"``); never changes samples.
     """
     workers = _validate_workers(workers)
     machine_names = [str(name) for name in machines]
@@ -329,7 +325,6 @@ def run_study(
                     shared_trace_cache if shared_trace_cache is not None else False
                 ),
                 pool=pool,
-                schedule=schedule,
             )
             matrices.append(matrix)
             if output_path is not None:

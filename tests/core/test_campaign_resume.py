@@ -3,10 +3,12 @@
 A campaign interrupted after K cells and resumed must recompute zero
 journaled cells (verified by spying on ``simulate_cell``) and still
 produce a matrix bit-identical to an uninterrupted run.  A journal
-written by a different executor version, or for a different campaign,
-is rejected instead of replayed.
+written by a different executor version, or for a different campaign —
+including the same campaign under a different noise environment — is
+rejected instead of replayed.
 """
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -20,6 +22,7 @@ from repro.core import executor
 from repro.core.campaign import run_campaign
 from repro.core.faults import FaultPlan
 from repro.core.savat import MeasurementConfig
+from repro.em.environment import NoiseEnvironment
 from repro.errors import CellExecutionError, ConfigurationError, JournalError
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
@@ -188,6 +191,20 @@ class TestJournalRejection:
         path = _interrupted_journal(lines, 3)
         with pytest.raises(JournalError, match="different campaign"):
             _run(core2duo_10cm, journal=path, resume=True, seed=SEED + 1)
+
+    def test_other_environment_is_rejected(self, core2duo_10cm, journaled_run):
+        # Same machine name, distance, and seed, but a 10^6x louder
+        # instrument floor: its samples differ, so the quiet journal
+        # must not be resumed.
+        _full, lines = journaled_run
+        path = _interrupted_journal(lines, 3)
+        floor = core2duo_10cm.environment.instrument_floor_w_per_hz * 1e6
+        loud = dataclasses.replace(
+            core2duo_10cm,
+            environment=NoiseEnvironment(instrument_floor_w_per_hz=floor),
+        )
+        with pytest.raises(JournalError, match="different campaign"):
+            _run(loud, journal=path, resume=True)
 
     def test_garbage_header_is_rejected(self, core2duo_10cm, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -3,11 +3,14 @@
 The executor's contract is that the per-cell seed schedule — not the
 execution order — determines every noise draw, so fanning a campaign
 out across worker processes must reproduce the serial samples bit for
-bit, under any cell schedule and under injected faults, and the same
-seed must always yield the same matrix.
+bit, under injected faults too, and the same seed must always yield
+the same matrix.  Serial and pooled runs share one attempt loop, so
+their traces record the same attempts with the same fields.
 """
 
+import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,19 +19,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.campaign import run_campaign
 from repro.core.executor import (
     WorkerPool,
-    _order_by_cost,
-    _PendingCell,
-    _validate_schedule,
     _validate_workers,
     cell_seed,
     execute_campaign,
     spawn_cell_seeds,
 )
 from repro.core.faults import FaultPlan
-from repro.core.savat import MeasurementConfig, _plan_pair, estimate_cell_cost
+from repro.core.savat import MeasurementConfig
 from repro.core.study import run_study
 from repro.errors import ConfigurationError
 from repro.isa.events import get_event
+from repro.obs import CampaignObservability
 
 #: A fast config for executor tests: a 10x higher alternation frequency
 #: shrinks the simulated period 10x without changing the code paths.
@@ -36,8 +37,8 @@ FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
 EVENTS = ("ADD", "SUB", "MUL", "NOI")
 
-#: The two-event campaign of the validation, scheduling, and property
-#: tests below.
+#: The two-event campaign of the validation, trace, and property tests
+#: below.
 PAIR_EVENTS = ("ADD", "SUB")
 PAIR_SEED = 3
 PAIR_REPETITIONS = 2
@@ -181,7 +182,7 @@ class TestExecuteCampaignValidation:
 
 
 # ----------------------------------------------------------------------
-# Workers and schedule validation (the old failure was a pool traceback)
+# Workers validation (the old failure was a pool traceback)
 # ----------------------------------------------------------------------
 class TestWorkersValidation:
     @pytest.mark.parametrize("workers", [-1, -7, 2.5, "3", True, None])
@@ -218,104 +219,6 @@ class TestWorkersValidation:
             WorkerPool(-1)
 
 
-class TestScheduleValidation:
-    def test_unknown_schedule_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="schedule"):
-            _validate_schedule("random")
-
-    def test_known_schedules_pass(self):
-        assert _validate_schedule("rowmajor") == "rowmajor"
-        assert _validate_schedule("cost") == "cost"
-
-    def test_run_campaign_rejects_bad_schedule(self, core2duo_10cm):
-        with pytest.raises(ConfigurationError, match="schedule"):
-            _run_pair(core2duo_10cm, schedule="bogus")
-
-
-# ----------------------------------------------------------------------
-# Cost model and scheduling order
-# ----------------------------------------------------------------------
-class TestCostModel:
-    @pytest.fixture(scope="class")
-    def plans(self, core2duo_10cm):
-        def plan(a, b):
-            return _plan_pair(
-                core2duo_10cm,
-                get_event(a),
-                get_event(b),
-                FAST_CONFIG.alternation_frequency_hz,
-            )
-
-        return plan
-
-    def test_memory_pairs_cost_more_than_alu_pairs(self, plans):
-        alu = estimate_cell_cost(plans("ADD", "SUB"), 10, "analytic")
-        memory = estimate_cell_cost(plans("LDM", "STM"), 10, "analytic")
-        assert memory > alu
-
-    def test_full_method_costs_more_than_analytic(self, plans):
-        plan = plans("ADD", "SUB")
-        assert estimate_cell_cost(plan, 10, "full") > estimate_cell_cost(
-            plan, 10, "analytic"
-        )
-
-    def test_cost_grows_with_repetitions(self, plans):
-        plan = plans("ADD", "SUB")
-        assert estimate_cell_cost(plan, 10, "full") > estimate_cell_cost(
-            plan, 2, "full"
-        )
-
-    def _pending(self, plans, names):
-        cells = []
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                cells.append(
-                    _PendingCell(
-                        i=i,
-                        j=j,
-                        event_a=get_event(a),
-                        event_b=get_event(b),
-                        seed_sequence=np.random.SeedSequence(0),
-                        plan=plans(a, b),
-                    )
-                )
-        return cells
-
-    def test_prior_puts_memory_rows_first(self, plans):
-        names = ("ADD", "LDM")
-        pending = self._pending(plans, names)
-        ordered = _order_by_cost(pending, names, PAIR_REPETITIONS, "analytic", {})
-        # The LDM/LDM cell has the largest priming footprint.
-        assert ordered[0].index == (1, 1)
-        # Pure-ALU ADD/ADD drains last.
-        assert ordered[-1].index == (0, 0)
-
-    def test_recorded_history_overrides_the_prior(self, plans):
-        names = ("ADD", "LDM")
-        pending = self._pending(plans, names)
-        history = {
-            "ADD/ADD": 100.0,
-            "ADD/LDM": 1.0,
-            "LDM/ADD": 1.0,
-            "LDM/LDM": 1.0,
-        }
-        ordered = _order_by_cost(
-            pending, names, PAIR_REPETITIONS, "analytic", history
-        )
-        assert ordered[0].index == (0, 0)
-
-    def test_equal_costs_keep_row_major_order(self, plans):
-        names = ("ADD", "LDM")
-        pending = self._pending(plans, names)
-        history = {f"{a}/{b}": 1.0 for a in names for b in names}
-        ordered = _order_by_cost(
-            pending, names, PAIR_REPETITIONS, "analytic", history
-        )
-        assert [cell.index for cell in ordered] == [
-            (0, 0), (0, 1), (1, 0), (1, 1),
-        ]
-
-
 # ----------------------------------------------------------------------
 # WorkerPool.drain (shutdown ordering for shared state)
 # ----------------------------------------------------------------------
@@ -334,28 +237,23 @@ class TestWorkerPoolDrain:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: worker count and scheduling never change samples
+# Bit-identity: worker count never changes samples
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.timeout(600)
 class TestBitIdentityProperty:
     @pytest.fixture(scope="class")
     def reference(self, core2duo_10cm):
-        """The serial, row-major run everything must match."""
+        """The serial run everything must match."""
         return _run_pair(core2duo_10cm)
 
-    @settings(max_examples=4, deadline=None)
-    @given(
-        schedule=st.sampled_from(("rowmajor", "cost")),
-        workers=st.sampled_from((0, 2)),
-    )
-    def test_samples_are_invariant(
-        self, core2duo_10cm, reference, schedule, workers
-    ):
-        matrix = _run_pair(core2duo_10cm, workers=workers, schedule=schedule)
+    @settings(max_examples=2, deadline=None)
+    @given(workers=st.sampled_from((0, 2)))
+    def test_samples_are_invariant(self, core2duo_10cm, reference, workers):
+        matrix = _run_pair(core2duo_10cm, workers=workers)
         assert np.array_equal(matrix.samples_zj, reference.samples_zj)
 
-    def test_combined_fault_plan_with_cost_schedule(
+    def test_combined_fault_plan_matches_reference(
         self, core2duo_10cm, reference, tmp_path
     ):
         plan = FaultPlan.from_spec("raise@0,0;hang@0,1:1.5;corrupt@1,0")
@@ -366,10 +264,42 @@ class TestBitIdentityProperty:
             cell_timeout_s=0.4,
             max_retries=2,
             fault_plan=plan,
-            schedule="cost",
         )
         execution = matrix.metadata["execution"]
         assert np.array_equal(matrix.samples_zj, reference.samples_zj)
         assert execution["faults_injected"] == {
             "raise": 1, "hang": 1, "corrupt": 1,
         }
+
+
+# ----------------------------------------------------------------------
+# One attempt loop: serial and pooled traces record the same attempts
+# ----------------------------------------------------------------------
+@pytest.mark.slow
+class TestSerialAndPooledTracesMatch:
+    @staticmethod
+    def _cell_ends(machine, tmp_path, workers):
+        path = tmp_path / f"trace_{workers}.jsonl"
+        _run_pair(
+            machine,
+            workers=workers,
+            fault_plan=FaultPlan.from_spec("raise@0,1"),
+            observability=CampaignObservability(trace=path, progress=False),
+        )
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        return Counter(
+            (
+                record["i"], record["j"], record["attempt"], record["status"],
+                tuple(sorted(record)),
+                tuple(sorted(record.get("fragment", {}))),
+            )
+            for record in records
+            if record["kind"] == "span_end" and record["name"] == "cell"
+        )
+
+    def test_cell_span_ends_match(self, core2duo_10cm, tmp_path):
+        serial = self._cell_ends(core2duo_10cm, tmp_path, 0)
+        pooled = self._cell_ends(core2duo_10cm, tmp_path, 2)
+        assert serial == pooled
+        assert sum(serial.values()) == len(PAIR_EVENTS) ** 2 + 1
+        assert {key[3] for key in serial} == {"ok", "error"}

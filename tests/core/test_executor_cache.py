@@ -2,10 +2,13 @@
 
 A warm cache must return an equal matrix while performing zero cell
 simulations; changing any key component (seed, distance, event set,
-repetitions, config) must miss; and corrupted or truncated entries are
+repetitions, config, or the calibrated machine's environment) must
+miss; and corrupted or truncated entries are
 quarantined (moved to ``<cache_dir>/quarantine/``, never silently
 deleted) and re-simulated instead of crashing.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from repro.core.campaign import run_campaign
 from repro.core.executor import ResultCache, campaign_cache_key
 from repro.core.savat import MeasurementConfig
+from repro.em.environment import NoiseEnvironment
 
 FAST_CONFIG = MeasurementConfig(alternation_frequency_hz=800e3)
 
@@ -35,6 +39,47 @@ def _run(machine, cache_dir, **overrides):
 
 def _execution(matrix):
     return matrix.metadata["execution"]
+
+
+def _louder(machine, factor=1e6):
+    """``machine`` under an instrument floor ``factor`` times louder."""
+    floor = machine.environment.instrument_floor_w_per_hz * factor
+    return dataclasses.replace(
+        machine,
+        environment=NoiseEnvironment(instrument_floor_w_per_hz=floor),
+    )
+
+
+def _renamed(machine):
+    return dataclasses.replace(
+        machine, spec=dataclasses.replace(machine.spec, name="pentium3m")
+    )
+
+
+def _moved(machine):
+    return dataclasses.replace(machine, distance_m=0.50)
+
+
+def _recoupled(machine):
+    calibration = dataclasses.replace(
+        machine.calibration,
+        coupling=dataclasses.replace(
+            machine.calibration.coupling,
+            weights=machine.calibration.coupling.weights * 1.01,
+        ),
+    )
+    return dataclasses.replace(machine, calibration=calibration)
+
+
+def _renoised(machine):
+    self_noise = {
+        name: value * 2.0
+        for name, value in machine.calibration.self_noise_j.items()
+    }
+    calibration = dataclasses.replace(
+        machine.calibration, self_noise_j=self_noise
+    )
+    return dataclasses.replace(machine, calibration=calibration)
 
 
 @pytest.mark.slow
@@ -92,6 +137,17 @@ class TestCacheHitsAndMisses:
         assert execution["cache_hits"] == 0
         assert execution["cells_simulated"] == len(EVENTS) ** 2
 
+    def test_changed_environment_misses(self, core2duo_10cm, warm_cache):
+        # A 10^6x louder instrument floor changes every sample, so it
+        # must never be served the quiet run's cached cells.
+        cache_dir, cold = warm_cache
+        loud = _louder(core2duo_10cm)
+        changed = _run(loud, cache_dir)
+        execution = _execution(changed)
+        assert execution["cache_hits"] == 0
+        assert execution["cells_simulated"] == len(EVENTS) ** 2
+        assert not np.array_equal(changed.samples_zj, cold.samples_zj)
+
 
 @pytest.mark.slow
 class TestCacheCorruption:
@@ -101,12 +157,7 @@ class TestCacheCorruption:
         cold = _run(core2duo_10cm, tmp_path)
         cache = ResultCache(tmp_path)
         key = campaign_cache_key(
-            core2duo_10cm.name,
-            core2duo_10cm.distance_m,
-            FAST_CONFIG,
-            EVENTS,
-            REPETITIONS,
-            SEED,
+            core2duo_10cm, FAST_CONFIG, EVENTS, REPETITIONS, SEED
         )
         cache.cell_path(key, 0, 1).write_bytes(b"this is not an npz file")
         warm = _run(core2duo_10cm, tmp_path)
@@ -126,12 +177,7 @@ class TestCacheCorruption:
         cold = _run(core2duo_10cm, tmp_path)
         cache = ResultCache(tmp_path)
         key = campaign_cache_key(
-            core2duo_10cm.name,
-            core2duo_10cm.distance_m,
-            FAST_CONFIG,
-            EVENTS,
-            REPETITIONS,
-            SEED,
+            core2duo_10cm, FAST_CONFIG, EVENTS, REPETITIONS, SEED
         )
         path = cache.cell_path(key, 1, 0)
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
@@ -224,12 +270,7 @@ class TestLoadCellCounterSemantics:
         _run(core2duo_10cm, tmp_path)  # warm the cache
         cache = ResultCache(tmp_path)
         key = campaign_cache_key(
-            core2duo_10cm.name,
-            core2duo_10cm.distance_m,
-            FAST_CONFIG,
-            EVENTS,
-            REPETITIONS,
-            SEED,
+            core2duo_10cm, FAST_CONFIG, EVENTS, REPETITIONS, SEED
         )
         cache.cell_path(key, 0, 1).write_bytes(b"corrupt")
         matrix = _run(core2duo_10cm, None, cache=cache, workers=workers)
@@ -246,34 +287,39 @@ class TestLoadCellCounterSemantics:
 
 class TestCacheKey:
     BASE = dict(
-        machine_name="core2duo",
-        distance_m=0.10,
         config=MeasurementConfig(),
         event_names=("ADD", "SUB"),
         repetitions=2,
         seed=0,
     )
 
-    def test_key_is_stable(self):
-        assert campaign_cache_key(**self.BASE) == campaign_cache_key(**self.BASE)
+    def test_key_is_stable(self, core2duo_10cm):
+        assert campaign_cache_key(core2duo_10cm, **self.BASE) == (
+            campaign_cache_key(core2duo_10cm, **self.BASE)
+        )
 
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"machine_name": "pentium3m"},
-            {"distance_m": 0.50},
+            {"machine": _renamed},
+            {"machine": _moved},
             {"config": MeasurementConfig(method="synthesis")},
             {"config": MeasurementConfig(loop_noise_fraction=0.07)},
             {"event_names": ("SUB", "ADD")},
             {"event_names": ("ADD", "SUB", "MUL")},
             {"repetitions": 3},
             {"seed": 1},
+            {"machine": _louder},
+            {"machine": _recoupled},
+            {"machine": _renoised},
         ],
     )
-    def test_any_component_changes_the_key(self, overrides):
-        changed = dict(self.BASE)
-        changed.update(overrides)
-        assert campaign_cache_key(**changed) != campaign_cache_key(**self.BASE)
+    def test_any_component_changes_the_key(self, core2duo_10cm, overrides):
+        base = dict(self.BASE, machine=core2duo_10cm)
+        changed = dict(base, **overrides)
+        if callable(changed["machine"]):
+            changed["machine"] = changed["machine"](core2duo_10cm)
+        assert campaign_cache_key(**changed) != campaign_cache_key(**base)
 
     def test_manifest_written_once(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -192,22 +192,6 @@ class TestParser:
         args = build_parser().parse_args(["groups", "--workers", "2"])
         assert args.workers == 2
 
-    def test_schedule_defaults_to_rowmajor(self):
-        args = build_parser().parse_args(["campaign"])
-        assert args.schedule == "rowmajor"
-
-    def test_schedule_flag(self):
-        args = build_parser().parse_args(["campaign", "--schedule", "cost"])
-        assert args.schedule == "cost"
-
-    def test_study_accepts_schedule_flag(self):
-        args = build_parser().parse_args(["study", "--schedule", "cost"])
-        assert args.schedule == "cost"
-
-    def test_bad_schedule_fails_parsing(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--schedule", "random"])
-        assert "schedule" in capsys.readouterr().err
 
     def test_negative_workers_fail_parsing(self, capsys):
         with pytest.raises(SystemExit):
@@ -264,12 +248,12 @@ class TestMeasurementFlags:
         with pytest.raises(ConfigurationError):
             _measurement_config(args)
 
-    def test_method_and_duration_change_the_cache_key(self):
+    def test_method_and_duration_change_the_cache_key(self, core2duo_10cm):
         from repro.core.executor import campaign_cache_key
         from repro.core.savat import MeasurementConfig
 
         keys = {
-            campaign_cache_key("core2duo", 0.1, config, ["ADD", "SUB"], 3, 0)
+            campaign_cache_key(core2duo_10cm, config, ["ADD", "SUB"], 3, 0)
             for config in (
                 MeasurementConfig(),
                 MeasurementConfig(method="full"),
