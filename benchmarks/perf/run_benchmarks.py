@@ -25,7 +25,9 @@ to end, on the fast and the scalar reference implementations:
   recorded but not gated — they depend on the container's core count
   (recorded in the results), and this container may be single-core.
 
-Results are written to ``BENCH_simulation.json``.  With ``--campaign``
+Results are written to ``BENCH_simulation.json``, with a ``host`` block
+(cores, CPU model, numpy and scipy versions, and the BLAS thread
+variables in effect) that says where they were measured.  With ``--campaign``
 the cold, cache-disabled, serial Figure 9-sized campaign (11x11 events,
 2 repetitions, seed 2014) is also run and compared against the pre-PR
 baseline measured on the same container, then re-run with every
@@ -49,15 +51,19 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import pathlib
 import sys
 import tempfile
 import time
 
-import numpy as np
-
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+# Before numpy, so the one-thread BLAS pin applies to these timings.
+import repro  # noqa: E402,F401  # isort: skip
+
+import numpy as np  # noqa: E402
 
 from repro.core import savat  # noqa: E402
 from repro.core.executor import execute_campaign  # noqa: E402
@@ -100,6 +106,34 @@ REGRESSION_FACTOR = 1.5
 #: observability output (JSONL trace, metrics file, progress line) is
 #: enabled, relative to the registry-only default.
 OBSERVABILITY_OVERHEAD_BUDGET = 0.05
+
+
+def host_fingerprint() -> dict:
+    """Where the numbers were measured: cores, CPU, libraries, BLAS threads."""
+    import scipy
+
+    cpu_model = "unknown"
+    try:
+        for line in pathlib.Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "nproc": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+        "cpu_model": cpu_model,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+        },
+    }
 
 
 def _timed(callable_, repeats: int = 1) -> float:
@@ -455,6 +489,7 @@ def run(args) -> int:
         "benchmark": "savat-simulation-fast-path",
         "machine": "core2duo@10cm",
         "repeats": args.repeats,
+        "host": host_fingerprint(),
     }
 
     print("cold single-cell measurements (CPI probes + priming + period)...")

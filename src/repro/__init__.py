@@ -20,7 +20,24 @@ Quick start::
 See ``examples/`` for campaigns, distance studies, clustering, and the
 RSA key-extraction demo, and ``benchmarks/`` for the per-figure
 regeneration harness.
+
+Importing ``repro`` pins BLAS to one thread per process: every cell is
+single-threaded work, and a threaded OpenBLAS wakes a helper thread for
+each small dgemm that then busy-waits on a second core.  The pin sets
+``OPENBLAS_NUM_THREADS=1`` and ``MKL_NUM_THREADS=1`` unless the user
+already set one of those or ``OMP_NUM_THREADS``, and it only takes
+effect when ``repro`` is imported before numpy.  Worker processes
+inherit it through the environment.
 """
+
+import os as _os
+
+#: Standard BLAS thread-count variables; a user value for any one wins.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+if not any(_os.environ.get(name) for name in _BLAS_THREAD_VARIABLES):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    _os.environ["MKL_NUM_THREADS"] = "1"
 
 from repro.core.campaign import run_campaign, selected_pairings_means
 from repro.core.clustering import find_groups

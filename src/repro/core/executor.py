@@ -228,6 +228,10 @@ class CampaignStats:
     cell_seconds:
         Per-cell simulation time keyed by ``"A/B"`` (cache hits record
         their load time, effectively ~0).
+    cell_cpu_seconds:
+        Process CPU seconds summed over the simulated cells, measured in
+        whichever process ran each cell.  Above the summed cell seconds
+        it means a cell kept a second core busy (e.g. BLAS threads).
     cell_phase_seconds:
         Per-cell pipeline breakdown keyed by ``"A/B"``: seconds spent
         in the ``prime`` / ``core_run`` / ``synthesize`` / ``analyze``
@@ -327,6 +331,10 @@ class CampaignStats:
             "Campaign-wide seconds per pipeline phase.",
             labelnames=("phase",),
         )
+        self._cell_cpu = r.counter(
+            "savat_cell_cpu_seconds_total",
+            "Process CPU seconds spent simulating cells.",
+        )
         self._durations = r.histogram(
             "savat_cell_duration_seconds",
             "Distribution of per-cell simulation wall times.",
@@ -420,6 +428,11 @@ class CampaignStats:
         }
 
     @property
+    def cell_cpu_seconds(self) -> float:
+        """Process CPU seconds summed over the simulated cells."""
+        return self._cell_cpu.value()
+
+    @property
     def cell_phase_seconds(self) -> dict[str, dict[str, float]]:
         """Per-cell phase breakdown keyed by ``"A/B"`` then phase name."""
         nested: dict[str, dict[str, float]] = {}
@@ -500,6 +513,10 @@ class CampaignStats:
                 self._cell_phase.labels(pair=pair, phase=name).set(float(seconds))
                 self._phase_totals.labels(phase=name).inc(float(seconds))
 
+    def record_cell_cpu(self, seconds: float) -> None:
+        """Add one simulated cell's process CPU seconds."""
+        self._cell_cpu.inc(float(seconds))
+
     def phase_seconds(self) -> dict[str, float]:
         """Campaign-wide totals of the per-cell phase breakdown."""
         return {
@@ -527,6 +544,7 @@ class CampaignStats:
             "scheduling": {"tail_seconds": self.sched_tail_seconds},
             "faults_injected": dict(self.faults_injected),
             "cell_seconds": dict(self.cell_seconds),
+            "cell_cpu_seconds": self.cell_cpu_seconds,
             "cell_phase_seconds": {
                 pair: dict(phases)
                 for pair, phases in self.cell_phase_seconds.items()
@@ -985,14 +1003,16 @@ def _cell_attempt(
     only, since timeout budgets are judged by the attempt loop's clock.
 
     Returns the samples and the cell's **trace span fragment** (process
-    pid, elapsed seconds, per-phase seconds, and the cell's trace-cache
-    counter delta).  Workers never write to the trace file themselves —
-    the parent merges the fragment into the cell's ``span_end`` record,
-    keeping the trace single-writer under the process pool.
+    pid, elapsed wall and CPU seconds, per-phase seconds, and the cell's
+    trace-cache counter delta).  Workers never write to the trace file
+    themselves — the parent merges the fragment into the cell's
+    ``span_end`` record, keeping the trace single-writer under the
+    process pool.
     """
     if fault is not None:
         fault.apply()
     started = time.perf_counter()
+    cpu_started = time.process_time()
     phases: dict[str, float] = {}
     before = trace_cache.counters() if trace_cache is not None else None
     samples = simulate_cell(
@@ -1003,6 +1023,7 @@ def _cell_attempt(
     fragment = {
         "worker_pid": os.getpid(),
         "elapsed_s": time.perf_counter() - started,
+        "cpu_s": time.process_time() - cpu_started,
         "phase_seconds": phases,
     }
     if trace_cache is not None:
@@ -1600,6 +1621,7 @@ def execute_campaign(
             cell: _PendingCell, cell_samples: np.ndarray, fragment: dict
         ) -> None:
             stats.record_simulated(fragment["worker_pid"])
+            stats.record_cell_cpu(fragment["cpu_s"])
             trace_delta = fragment.get("trace_cache")
             if trace_delta:
                 stats.record_trace_cache(trace_delta)

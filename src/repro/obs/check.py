@@ -16,7 +16,9 @@ It performs three independent checks and exits non-zero when any fails:
 3. when a campaign JSON (``savat campaign --format json``) is given,
    the registry counters in the metrics file equal the matrix's
    ``metadata["execution"]`` values exactly — the metadata is generated
-   *from* the registry, so any mismatch means the two views diverged.
+   *from* the registry, so any mismatch means the two views diverged —
+   and the campaign's summed cell CPU seconds must stay within
+   :data:`CELL_CPU_RATIO_LIMIT` times its summed cell seconds.
 """
 
 from __future__ import annotations
@@ -50,7 +52,14 @@ EXECUTION_COUNTERS = {
     "timeouts": "savat_cell_timeouts_total",
     "quarantined": "savat_cache_quarantined_total",
     "resumed": "savat_cells_resumed_total",
+    "cell_cpu_seconds": "savat_cell_cpu_seconds_total",
 }
+
+#: Most process CPU seconds a campaign may spend per cell wall second.
+#: Cells are single-threaded: with BLAS pinned to one thread the ratio
+#: is 1.0, while an unpinned OpenBLAS busy-waiting on a second core
+#: drives a serial campaign to 1.7-1.9.
+CELL_CPU_RATIO_LIMIT = 1.5
 
 #: metadata["execution"] scalars backed by registry gauges.
 EXECUTION_GAUGES = {
@@ -176,6 +185,24 @@ def check_against_execution(samples: dict, execution: dict) -> list[str]:
     return errors
 
 
+def check_cell_cpu(execution: dict) -> list[str]:
+    """Flag a campaign whose cells burned more CPU than they took wall time.
+
+    A ratio above :data:`CELL_CPU_RATIO_LIMIT` means something ran on
+    a second core alongside the single-threaded cell, typically BLAS
+    helper threads spinning between calls.
+    """
+    cpu = execution["cell_cpu_seconds"]
+    wall = sum((execution.get("cell_seconds") or {}).values())
+    if cpu > CELL_CPU_RATIO_LIMIT * wall:
+        return [
+            f"cell_cpu_seconds: cells used {cpu:.3f} s of CPU in "
+            f"{wall:.3f} s of cell time, over the {CELL_CPU_RATIO_LIMIT}x "
+            "limit; are BLAS threads oversubscribing?"
+        ]
+    return []
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.obs.check``; returns exit code."""
     parser = argparse.ArgumentParser(
@@ -224,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"metrics vs {args.matrix}: "
                 f"{'CONSISTENT' if not errors else 'MISMATCH'}"
             )
+            errors = check_cell_cpu(execution)
+            failures.extend(f"cpu: {error}" for error in errors)
+            print(f"cell cpu vs cell time: {'OK' if not errors else 'OVER LIMIT'}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -234,10 +264,12 @@ if __name__ == "__main__":
 
 
 __all__ = [
+    "CELL_CPU_RATIO_LIMIT",
     "EXECUTION_COUNTERS",
     "EXECUTION_GAUGES",
     "TRACE_CACHE_COUNTERS",
     "check_against_execution",
+    "check_cell_cpu",
     "main",
     "parse_prometheus",
 ]

@@ -8,6 +8,10 @@ exhaustively in unit tests.
 
 from __future__ import annotations
 
+# Import repro before numpy so the test process runs under the same
+# one-thread BLAS pin as the CLI (see repro/__init__.py).
+import repro  # noqa: F401  # isort: skip
+
 import numpy as np
 import pytest
 
