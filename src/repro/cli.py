@@ -323,6 +323,23 @@ def _command_measure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _computed_weights_note(campaign) -> str | None:
+    """Why a campaign's calibration was slow, when its weights were fitted.
+
+    ``None`` when the refined weights came from the checked-in table (or
+    the matrix carries no calibration metadata).
+    """
+    calibration = campaign.metadata.get("calibration") or {}
+    if calibration.get("weights_source") != "computed":
+        return None
+    return (
+        f"calibration: refined weights for {campaign.machine} at "
+        f"{campaign.distance_m * 100:.0f} cm computed with least_squares "
+        f"(no checked-in entry for this spec, distance and numpy/scipy "
+        f"release); stress {calibration['stress']:.3f}"
+    )
+
+
 def _campaign_summary_lines(campaign, machine) -> list[str]:
     """The human-readable campaign summary (table format).
 
@@ -342,6 +359,9 @@ def _campaign_summary_lines(campaign, machine) -> list[str]:
         f"\nstd/mean over {campaign.repetitions} repetitions: "
         f"{campaign.std_over_mean():.3f}",
     ]
+    note = _computed_weights_note(campaign)
+    if note:
+        lines.append(note)
     execution = campaign.metadata.get("execution")
     if execution is None:
         return lines
@@ -448,6 +468,9 @@ def _command_study(args: argparse.Namespace) -> int:
             f"trace cache {hits} hit(s) / "
             f"{trace_cache.get('misses', 0)} miss(es)"
         )
+        note = _computed_weights_note(matrix)
+        if note:
+            print(f"    {note}")
     totals = result.trace_cache
     print(
         f"trace cache totals: {totals['memory_hits']} memory hit(s), "

@@ -145,7 +145,10 @@ def run_campaign(
         metadata carries an ``"execution"`` entry with cache hit/miss
         counters, worker count, per-cell timings, and the
         fault-tolerance counters (retries, timeouts, quarantined and
-        resumed cells).
+        resumed cells), and a ``"calibration"`` entry saying where the
+        machine's refined coupling weights came from
+        (``weights_source``: ``"table"`` or ``"computed"``) and the
+        calibration's embedding ``stress``.
     """
     config = config or MeasurementConfig()
     if events is None:
@@ -188,6 +191,10 @@ def run_campaign(
             "method": config.method,
             "repetitions": repetitions,
             "seed": seed,
+            "calibration": {
+                "weights_source": machine.calibration.weights_source,
+                "stress": float(machine.calibration.stress),
+            },
             "execution": stats.as_metadata(),
         },
     )

@@ -12,8 +12,6 @@ DIV) from the Core 2 Duo matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster import hierarchy as scipy_hierarchy
-from scipy.spatial.distance import squareform
 
 from repro.core.matrix import SavatMatrix
 from repro.errors import ConfigurationError
@@ -39,6 +37,9 @@ def savat_distance_matrix(matrix: SavatMatrix) -> np.ndarray:
 
 def cluster_linkage(matrix: SavatMatrix, method: str = "average") -> np.ndarray:
     """SciPy linkage over the SAVAT-derived distances."""
+    from scipy.cluster import hierarchy as scipy_hierarchy
+    from scipy.spatial.distance import squareform
+
     distances = savat_distance_matrix(matrix)
     condensed = squareform(distances, checks=False)
     return scipy_hierarchy.linkage(condensed, method=method)
@@ -64,6 +65,8 @@ def find_groups(
         raise ConfigurationError(
             f"num_groups must be in [1, {count}], got {num_groups}"
         )
+    from scipy.cluster import hierarchy as scipy_hierarchy
+
     linkage = cluster_linkage(matrix, method)
     labels = scipy_hierarchy.fcluster(linkage, t=num_groups, criterion="maxclust")
     groups: dict[int, set[str]] = {}

@@ -1600,7 +1600,7 @@ def execute_campaign(
                         stats.record_cache_miss()
                         obs.cache_miss(i, j)
                     # Plan in the parent: the per-event CPI probes behind
-                    # _plan_pair are cached per (machine, event), so every
+                    # _plan_pair are cached per (spec, event), so every
                     # pending cell after the first reuses them, and workers
                     # receive finished plans instead of each re-probing
                     # from a cold cache.

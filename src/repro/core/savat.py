@@ -42,6 +42,7 @@ from repro.instruments.analyzer_path import reference_analyzer_enabled
 from repro.instruments.spectrum_analyzer import Spectrum, SpectrumAnalyzer
 from repro.isa.events import InstructionEvent, get_event
 from repro.machines.calibrated import CalibratedMachine
+from repro.machines.specs import MachineSpec
 from repro.uarch.activity import ActivityTrace
 from repro.uarch.fastpath import fast_path_enabled, prime_extrapolation_enabled
 from repro.units import REFERENCE_IMPEDANCE, ZEPTOJOULE
@@ -160,7 +161,10 @@ class SavatResult:
         )
 
 
-_CPI_CACHE: dict[tuple[str, str], float] = {}
+#: Loop-half cycles per iteration, keyed by the full (frozen, hashable)
+#: machine spec rather than its name, so a modified spec that keeps its
+#: catalog name never reuses another spec's timing.
+_CPI_CACHE: dict[tuple[MachineSpec, str], float] = {}
 
 
 def _plan_pair(
@@ -169,18 +173,18 @@ def _plan_pair(
     event_b: InstructionEvent,
     frequency_hz: float,
 ) -> FrequencyPlan:
-    """Frequency plan for a pair, with per-(machine, event) CPI caching."""
+    """Frequency plan for a pair, with per-(machine spec, event) CPI caching."""
     from repro.codegen.frequency import measure_cycles_per_iteration
 
     core = machine.make_core()
     for event in (event_a, event_b):
-        key = (machine.name, event.name)
+        key = (machine.spec, event.name)
         if key not in _CPI_CACHE:
             _CPI_CACHE[key] = measure_cycles_per_iteration(machine.make_core(), event)
     # Re-solve using cached CPIs by monkey-free arithmetic: replicate the
     # solver's logic with the cached values.
-    cpi_a = _CPI_CACHE[(machine.name, event_a.name)]
-    cpi_b = _CPI_CACHE[(machine.name, event_b.name)]
+    cpi_a = _CPI_CACHE[(machine.spec, event_a.name)]
+    cpi_b = _CPI_CACHE[(machine.spec, event_b.name)]
     period_cycles_target = core.clock_hz / frequency_hz
     raw_count = period_cycles_target / (cpi_a + cpi_b)
     if raw_count < 0.5:

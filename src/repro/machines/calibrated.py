@@ -65,8 +65,11 @@ class CalibratedMachine:
         return self.spec.make_core()
 
     def describe(self) -> str:
-        """One-line summary for reports."""
-        return f"{self.spec.describe()} at {self.distance_m * 100:.0f} cm"
+        """One-line summary for reports, with the refined weights' source."""
+        return (
+            f"{self.spec.describe()} at {self.distance_m * 100:.0f} cm "
+            f"[weights: {self.calibration.weights_source}]"
+        )
 
 
 def _core2duo_distance_target(distance_m: float) -> ReferenceMatrix:

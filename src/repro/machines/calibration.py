@@ -59,6 +59,10 @@ from repro.units import REFERENCE_IMPEDANCE, ZEPTOJOULE
 #: within a handful of iterations once the hierarchy is primed).
 CALIBRATION_PROBE_ITERATIONS = 64
 
+#: Randomized restarts and seed of :func:`refine_coupling_weights`.
+REFINE_RESTARTS = 3
+REFINE_SEED = 20141213
+
 
 @dataclass(frozen=True)
 class EventProfile:
@@ -95,6 +99,12 @@ class CalibrationResult:
         could not represent.  0 is perfect.
     clock_hz:
         Clock the geometry factors were computed against.
+    weights_source:
+        ``"table"`` when the refined coupling weights came from the
+        checked-in table (:mod:`repro.machines.weights_table`),
+        ``"computed"`` when they were fitted in this process.  It
+        describes provenance only: the weights are bit-identical either
+        way, so it never enters a cache or journal key.
     """
 
     coupling: CouplingMatrix
@@ -105,6 +115,7 @@ class CalibrationResult:
     reference: ReferenceMatrix
     stress: float
     clock_hz: float
+    weights_source: str = "computed"
 
     def geometry_factor(self, event_a: str, event_b: str) -> float:
         """``G_AB`` (J per squared volt) for a pair of events."""
@@ -254,8 +265,8 @@ def refine_coupling_weights(
     geometry: np.ndarray,
     self_noise: np.ndarray,
     reference_j: np.ndarray,
-    restarts: int = 3,
-    seed: int = 20141213,
+    restarts: int = REFINE_RESTARTS,
+    seed: int = REFINE_SEED,
 ) -> np.ndarray:
     """Nonlinearly refine coupling weights against the reference matrix.
 
@@ -266,6 +277,13 @@ def refine_coupling_weights(
     criterion the reproduction targets.  Uses an analytic Jacobian and a
     few randomized restarts (deterministic seed) to escape the
     occasional poor local minimum.
+
+    The fit is pure in its inputs, so the published calibration targets'
+    results are checked into the repository: when the inputs (plus
+    ``restarts``, ``seed`` and the numpy and scipy versions) hash to a
+    stored entry, a copy of the stored weights is returned and scipy is
+    never imported (see :mod:`repro.machines.weights_table`).  Anything
+    else is solved from scratch.
 
     Parameters
     ----------
@@ -280,6 +298,30 @@ def refine_coupling_weights(
     reference_j:
         Symmetrized reference matrix in joules.
     """
+    from repro.machines.weights_table import stored_refined_weights
+
+    stored = stored_refined_weights(
+        initial_weights, activity_rates, geometry, self_noise, reference_j,
+        restarts, seed,
+    )
+    if stored is not None:
+        return stored
+    return _solve_refinement(
+        initial_weights, activity_rates, geometry, self_noise, reference_j,
+        restarts, seed,
+    )
+
+
+def _solve_refinement(
+    initial_weights: np.ndarray,
+    activity_rates: np.ndarray,
+    geometry: np.ndarray,
+    self_noise: np.ndarray,
+    reference_j: np.ndarray,
+    restarts: int = REFINE_RESTARTS,
+    seed: int = REFINE_SEED,
+) -> np.ndarray:
+    """The least-squares fit behind :func:`refine_coupling_weights`."""
     from scipy.optimize import least_squares
 
     num_modes = initial_weights.shape[0]
@@ -331,18 +373,40 @@ def refine_coupling_weights(
     return best.x.reshape(num_modes, num_components) / scale
 
 
-def calibrate(
+@dataclass(frozen=True)
+class InitialFit:
+    """Everything :func:`calibrate` derives before the refinement stage.
+
+    ``weights``/``fitted`` are the MDS + linear-least-squares solution;
+    :meth:`refinement_inputs` are the arrays
+    :func:`refine_coupling_weights` polishes it against.
+    """
+
+    profiles: dict[str, EventProfile]
+    reference_j: np.ndarray
+    self_noise: dict[str, float]
+    geometry: np.ndarray
+    points: np.ndarray
+    stress: float
+    rates: np.ndarray
+    weights: np.ndarray
+    fitted: np.ndarray
+
+    def refinement_inputs(self) -> tuple[np.ndarray, ...]:
+        """``(initial_weights, activity_rates, geometry, self_noise, reference_j)``."""
+        noise_vector = np.array([self.self_noise[name] for name in EVENT_ORDER])
+        return self.weights, self.rates, self.geometry, noise_vector, self.reference_j
+
+
+def initial_fit(
     spec: MachineSpec,
     reference: ReferenceMatrix,
     num_modes: int = DEFAULT_NUM_MODES,
-    refine: bool = True,
-) -> CalibrationResult:
-    """Fit the EM model of ``spec`` to a published matrix.
+) -> InitialFit:
+    """Profile every event on ``spec`` and fit the MDS/least-squares model.
 
     See the module docstring for the math.  The reference is
     symmetrized first (A/B vs B/A differences are measurement error).
-    With ``refine=True`` (default), the MDS/least-squares initialization
-    is polished by :func:`refine_coupling_weights`.
     """
     profiles = profile_all_events(spec)
     names = EVENT_ORDER
@@ -351,48 +415,74 @@ def calibrate(
     reference_j = reference.symmetrized() * ZEPTOJOULE
     self_noise = {name: float(reference_j[i, i]) / 2.0 for i, name in enumerate(names)}
 
+    geometry = np.zeros((count, count))
+    for i, name_a in enumerate(names):
+        for j, name_b in enumerate(names):
+            geometry[i, j] = pair_geometry_factor(
+                profiles[name_a].cycles_per_iteration,
+                profiles[name_b].cycles_per_iteration,
+                spec.clock_hz,
+            )
+
     squared = np.zeros((count, count))
     for i, name_a in enumerate(names):
         for j, name_b in enumerate(names):
             if i == j:
                 continue
-            geometry = pair_geometry_factor(
-                profiles[name_a].cycles_per_iteration,
-                profiles[name_b].cycles_per_iteration,
-                spec.clock_hz,
-            )
             excess = reference_j[i, j] - self_noise[name_a] - self_noise[name_b]
-            squared[i, j] = max(excess, 0.0) / geometry
+            squared[i, j] = max(excess, 0.0) / geometry[i, j]
 
     squared = (squared + squared.T) / 2.0
     points, stress = classical_mds(squared, num_modes)
 
     rates = np.stack([profiles[name].activity_rates for name in names])
     weights, fitted = fit_coupling_weights(rates, points)
+    return InitialFit(
+        profiles=profiles,
+        reference_j=reference_j,
+        self_noise=self_noise,
+        geometry=geometry,
+        points=points,
+        stress=stress,
+        rates=rates,
+        weights=weights,
+        fitted=fitted,
+    )
 
+
+def calibrate(
+    spec: MachineSpec,
+    reference: ReferenceMatrix,
+    num_modes: int = DEFAULT_NUM_MODES,
+    refine: bool = True,
+) -> CalibrationResult:
+    """Fit the EM model of ``spec`` to a published matrix.
+
+    See the module docstring for the math and :func:`initial_fit` for
+    the MDS/least-squares initialization.  With ``refine=True``
+    (default), that initialization is polished by
+    :func:`refine_coupling_weights`.
+    """
+    from repro.machines.weights_table import stored_refined_weights
+
+    fit = initial_fit(spec, reference, num_modes)
+    weights, fitted = fit.weights, fit.fitted
+    source = "computed"
     if refine:
-        geometry = np.zeros((count, count))
-        for i, name_a in enumerate(names):
-            for j, name_b in enumerate(names):
-                geometry[i, j] = pair_geometry_factor(
-                    profiles[name_a].cycles_per_iteration,
-                    profiles[name_b].cycles_per_iteration,
-                    spec.clock_hz,
-                )
-        noise_vector = np.array([self_noise[name] for name in names])
-        weights = refine_coupling_weights(
-            weights, rates, geometry, noise_vector, reference_j
-        )
-        rates_centered = rates - rates.mean(axis=0)
-        fitted = rates_centered @ weights.T
+        inputs = fit.refinement_inputs()
+        if stored_refined_weights(*inputs, REFINE_RESTARTS, REFINE_SEED) is not None:
+            source = "table"
+        weights = refine_coupling_weights(*inputs)
+        fitted = (fit.rates - fit.rates.mean(axis=0)) @ weights.T
 
     return CalibrationResult(
         coupling=CouplingMatrix(weights, distance_m=reference.distance_m),
-        self_noise_j=self_noise,
-        profiles=profiles,
-        points=points,
+        self_noise_j=fit.self_noise,
+        profiles=fit.profiles,
+        points=fit.points,
         fitted_points=fitted,
         reference=reference,
-        stress=stress,
+        stress=fit.stress,
         clock_hz=spec.clock_hz,
+        weights_source=source,
     )

@@ -29,6 +29,12 @@ class TestRunCampaign:
         assert small_campaign.metadata["repetitions"] == 3
         assert small_campaign.metadata["alternation_frequency_hz"] == pytest.approx(80e3)
 
+    def test_calibration_source_recorded(self, core2duo_10cm, small_campaign):
+        assert small_campaign.metadata["calibration"] == {
+            "weights_source": core2duo_10cm.calibration.weights_source,
+            "stress": core2duo_10cm.calibration.stress,
+        }
+
     def test_all_cells_positive(self, small_campaign):
         assert np.all(small_campaign.samples_zj > 0)
 

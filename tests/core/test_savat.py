@@ -1,11 +1,14 @@
 """Tests for the pairwise SAVAT measurement pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.savat import (
     MeasurementConfig,
     _plan_pair,
+    clear_cpi_cache,
     measure_savat,
     simulate_alternation_period,
 )
@@ -136,3 +139,28 @@ class TestSteadyStateEffects:
         forward = measure_savat(core2duo_10cm, "ADD", "LDL2")
         backward = measure_savat(core2duo_10cm, "LDL2", "ADD")
         assert forward.savat_zj == pytest.approx(backward.savat_zj, rel=0.15)
+
+
+class TestCpiCacheKey:
+    def test_modified_spec_with_the_same_name_is_reprobed(self, core2duo_10cm):
+        """The per-event CPI cache is keyed by the whole spec, not its name.
+
+        A slower memory on a spec that keeps the catalog name must not
+        reuse the stock machine's LDM timing (which would plan the pair
+        at half the intended alternation frequency).
+        """
+        frequency = MeasurementConfig().alternation_frequency_hz
+        ldm, add = get_event("LDM"), get_event("ADD")
+        stock = _plan_pair(core2duo_10cm, ldm, add, frequency)
+        spec = core2duo_10cm.spec
+        slow_spec = dataclasses.replace(
+            spec, latencies=dataclasses.replace(spec.latencies, memory_cycles=400)
+        )
+        assert slow_spec.name == spec.name
+        slow = dataclasses.replace(core2duo_10cm, spec=slow_spec)
+        after_stock = _plan_pair(slow, ldm, add, frequency)
+        clear_cpi_cache()
+        cold = _plan_pair(slow, ldm, add, frequency)
+        assert after_stock.cycles_per_iteration_a == cold.cycles_per_iteration_a
+        assert after_stock.spec.inst_loop_count == cold.spec.inst_loop_count
+        assert cold.cycles_per_iteration_a > stock.cycles_per_iteration_a + 100

@@ -107,6 +107,8 @@ class _FakeCampaign:
 
     events = ("ADD", "SUB")
     repetitions = 2
+    machine = "core2duo"
+    distance_m = 0.25
 
     def __init__(self, metadata):
         self.metadata = metadata
@@ -141,6 +143,23 @@ class TestCampaignSummaryLines:
         assert "0 cell(s) resumed from the journal" in text
         assert "simulation time by phase: core_run 1.2 s" in text
         assert "injected faults fired: raise x1" in text
+
+    def test_computed_weights_are_reported(self):
+        calibration = {"weights_source": "computed", "stress": 0.162}
+        lines = _campaign_summary_lines(
+            _FakeCampaign({"calibration": calibration}), _FakeMachine()
+        )
+        notes = [line for line in lines if line.startswith("calibration:")]
+        assert len(notes) == 1
+        assert "core2duo at 25 cm computed with least_squares" in notes[0]
+        assert "stress 0.162" in notes[0]
+
+    def test_table_weights_print_no_calibration_line(self):
+        calibration = {"weights_source": "table", "stress": 0.127}
+        lines = _campaign_summary_lines(
+            _FakeCampaign({"calibration": calibration}), _FakeMachine()
+        )
+        assert not any(line.startswith("calibration:") for line in lines)
 
     def test_missing_execution_metadata_degrades_gracefully(self):
         lines = _campaign_summary_lines(_FakeCampaign({}), _FakeMachine())
